@@ -4,7 +4,9 @@
  * aggregates (Fig. 12, Appendix A).  These guard the evaluation layer
  * against silent drift: any change to the chip tables, the public
  * model tables, or the error arithmetic that moves a headline number
- * fails loudly here.
+ * fails loudly here.  The pipeline digests at the end pin whole
+ * fab -> image -> RE runs the same way, absolutely rather than
+ * relative to another code path.
  *
  * Each golden constant below is the value the current tables produce,
  * with the corresponding paper headline noted alongside.  Tolerances
@@ -17,6 +19,8 @@
 #include <map>
 #include <string>
 
+#include "core/pipeline.hh"
+#include "core/stages.hh"
 #include "eval/bitline_ext.hh"
 #include "eval/model_accuracy.hh"
 #include "models/chip_data.hh"
@@ -114,6 +118,55 @@ TEST(Golden, AppendixAChipOverheadOnB5)
     EXPECT_NEAR(overhead, 0.221482, kTol);
     EXPECT_GT(overhead, 0.20);
     EXPECT_LT(overhead, 0.25);
+}
+
+// ---- Whole-pipeline report digests ---------------------------------
+// core::reportDigest covers every seeded report field (topology,
+// devices, dimensions, alignment residual, QC audit, campaign cost),
+// so these pin the full fab -> acquire -> postprocess -> analyze ->
+// finalize chain bit for bit.  A change that moves one of them must
+// say why in CHANGES.md and re-pin.
+
+uint64_t
+pipelineDigest(const core::PipelineConfig &config)
+{
+    auto report = core::runPipelineChecked(config);
+    EXPECT_TRUE(report.ok()) << report.error().message;
+    return report.ok() ? core::reportDigest(report.value()) : 0;
+}
+
+core::PipelineConfig
+goldenConfig(const char *chip)
+{
+    core::PipelineConfig config;
+    config.chipId = chip;
+    return config;
+}
+
+TEST(GoldenPipeline, A4DefaultConfig)
+{
+    EXPECT_EQ(pipelineDigest(goldenConfig("A4")), 0x346e43b9c5a86cc3ull);
+}
+
+TEST(GoldenPipeline, B5DefaultConfig)
+{
+    EXPECT_EQ(pipelineDigest(goldenConfig("B5")), 0xe3d6a4a01a825bf1ull);
+}
+
+TEST(GoldenPipeline, B5FaultsOn)
+{
+    core::PipelineConfig config = goldenConfig("B5");
+    config.faults.enabled = true;
+    EXPECT_EQ(pipelineDigest(config), 0xdadde04465ef79f2ull);
+}
+
+TEST(GoldenPipeline, B5FaultsOnMemoryBudgetEqualsInRam)
+{
+    core::PipelineConfig config = goldenConfig("B5");
+    config.faults.enabled = true;
+    config.memoryBudget = 32ull << 20;
+    // Same digest as B5FaultsOn: the budget never changes a report bit.
+    EXPECT_EQ(pipelineDigest(config), 0xdadde04465ef79f2ull);
 }
 
 } // namespace
