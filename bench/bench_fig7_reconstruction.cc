@@ -79,9 +79,14 @@ main()
         fib.sliceVoxels = 2;
         common::Rng rng(7);
         const auto stack = scope::acquire(mats, fib, rng);
-        const auto post = scope::postprocess(stack);
+        // Memory-only tile store; a failure throws with its message.
+        image::TileStore store(image::TileStoreConfig{});
+        const auto volume = scope::postprocessStreamed(stack, store)
+                                .value()
+                                .volume.toDense()
+                                .takeValue();
         re::PlanarScales scales{2.0 * voxel, voxel, voxel};
-        const auto mat = re::analyzeMatRegion(post.volume, scales,
+        const auto mat = re::analyzeMatRegion(volume, scales,
                                               chip.detector);
         std::cout << "\nFig. 7a (C5 MAT through the noisy chain): "
                   << mat.bitlines << " bitlines at "

@@ -12,8 +12,8 @@
  *     (kill probability 0.5) — what a crash-and-resume cycle costs
  *     when every stage boundary is checkpointed.
  *  3. Checkpoint codec: encode/decode latency and image size at
- *     every stage boundary — the per-stage overhead a job pays for
- *     crash safety.
+ *     every stage boundary, with the artifact tiles in a memory-only
+ *     store — the per-stage overhead a job pays for crash safety.
  *
  * `--quick` shrinks the batch for CI smoke runs.  Exit status is
  * non-zero if any job fails, hangs, or resumes to a report that is
@@ -163,10 +163,15 @@ std::vector<CodecPoint>
 benchCodec(const PipelineConfig &config)
 {
     std::vector<CodecPoint> points;
+    // Memory-only store: the codec cost without disk I/O.  The image
+    // holds tile digests; the voxels stay in the store.
+    const auto tiles = std::make_shared<hifi::image::TileStore>(
+        hifi::image::TileStoreConfig{});
     auto init = hifi::core::initStagedRun(config);
     if (!init.ok())
         std::exit(1);
     auto state = init.takeValue();
+    state.tileStore = tiles; // as in the service: one store for both
     while (state.next != hifi::core::Stage::Done) {
         const auto before = state.next;
         if (hifi::core::runStage(config, state))
@@ -176,13 +181,19 @@ benchCodec(const PipelineConfig &config)
         CodecPoint p;
         p.stage = hifi::core::stageName(before);
         const auto t0 = Clock::now();
-        const std::string image =
-            hifi::service::encodeCheckpoint(config, state);
+        auto encoded =
+            hifi::service::encodeCheckpoint(config, state, tiles);
         p.encodeMs = secondsSince(t0) * 1e3;
+        if (!encoded.ok()) {
+            std::cerr << "encode failed at " << p.stage << ": "
+                      << encoded.error().message << "\n";
+            std::exit(1);
+        }
+        const std::string image = encoded.takeValue();
         p.bytes = image.size();
         const auto t1 = Clock::now();
         auto decoded =
-            hifi::service::decodeCheckpoint(image, config);
+            hifi::service::decodeCheckpoint(image, config, tiles);
         p.decodeMs = secondsSince(t1) * 1e3;
         if (!decoded.ok()) {
             std::cerr << "decode failed at " << p.stage << ": "

@@ -69,12 +69,17 @@ main(int argc, char **argv)
                 snr_mid = image::snr(noisy, clean);
             }
 
-            const auto post = scope::postprocess(stack);
+            // Memory-only tile store; a failure throws with its
+            // message.
+            image::TileStore store(image::TileStoreConfig{});
+            const auto post =
+                scope::postprocessStreamed(stack, store).takeValue();
             re::PlanarScales scales{
                 static_cast<double>(fib.sliceVoxels) * voxel, voxel,
                 voxel};
             const auto analysis = re::analyzeRegion(
-                post.volume, scales, chip.detector);
+                post.volume.toDense().takeValue(), scales,
+                chip.detector);
 
             t.addRow({Table::num(dwell, 0) + " us",
                       Table::num(fib.sliceVoxels * voxel, 0) + " nm",

@@ -42,7 +42,10 @@ main(int argc, char **argv)
             1, static_cast<size_t>(chip.sliceNm / voxel + 0.5));
         common::Rng rng(11);
         const auto stack = scope::acquire(mats, fib, rng);
-        const auto post = scope::postprocess(stack);
+        // Memory-only tile store; a failure throws with its message.
+        image::TileStore store(image::TileStoreConfig{});
+        const auto post =
+            scope::postprocessStreamed(stack, store).takeValue();
 
         for (const auto layer :
              {layout::Layer::Active, layout::Layer::Gate,
@@ -54,7 +57,8 @@ main(int argc, char **argv)
                 static_cast<size_t>(z.z1 / voxel + 0.5));
             if (z0 >= post.volume.nz() || z1 <= z0)
                 continue;
-            const auto slab = post.volume.planarSlab(z0, z1);
+            const auto slab =
+                post.volume.planarSlab(z0, z1).takeValue();
             const std::string path = dir + "/hifi_" + chip_id + "_" +
                 tag + "_" + layout::layerName(layer) + ".pgm";
             image::writePgm(path, slab);

@@ -71,7 +71,7 @@ validateConfig(const PipelineConfig &config)
     if (!config.spillDir.empty() && config.memoryBudget == 0)
         return Error{ErrorCode::InvalidArgument,
                      "PipelineConfig: spillDir set but memoryBudget "
-                     "is 0 (in-RAM path spills nothing)"};
+                     "is 0 (a memory-only store spills nothing)"};
     return std::nullopt;
 }
 

@@ -110,23 +110,26 @@ struct PipelineConfig
     scope::RecoveryParams recovery;
 
     /**
-     * Out-of-core memory budget in bytes; 0 (the default) keeps the
-     * fully in-RAM pipeline.  When set, acquisition streams straight
-     * into the denoise → register → assemble chain slice by slice
-     * and the assembled volume lives in a spill-to-disk tile store,
-     * so peak working memory is bounded by roughly this figure plus
-     * the fixed per-stage state instead of by the stack size.  The
-     * report is bitwise identical to the in-RAM path at any budget,
-     * tile size and thread count (tests/test_volume.cc).  Budgets
-     * smaller than one tile layer are rejected by validateConfig.
+     * Out-of-core memory budget in bytes for the assembled volume.
+     * Every run streams the acquired stack through the one denoise →
+     * register → assemble chain, a window of slices at a time, into
+     * a tiled volume.  0 (the default) keeps the tiles in a
+     * memory-only store.  When set, the volume's unsealed tiles are
+     * bounded by half the budget and the store's resident tiles by
+     * the budget; the rest spill to disk, so the volume no longer
+     * has to fit in memory (the acquired stack still does).  The
+     * report is bitwise identical at any budget, tile size and
+     * thread count (tests/test_golden.cc, tests/test_volume.cc).
+     * Budgets smaller than one tile layer are rejected by
+     * validateConfig.
      */
     size_t memoryBudget = 0;
 
     /**
      * Directory for spilled volume tiles when memoryBudget is set;
      * empty picks a unique directory under the system temp dir that
-     * is removed when the run completes.  Ignored when
-     * memoryBudget == 0.
+     * is removed when the run completes.  Must stay empty when
+     * memoryBudget == 0: the memory-only store spills nothing.
      */
     std::string spillDir;
 

@@ -92,18 +92,25 @@ resolveDetector(const PipelineConfig &config,
 }
 
 /**
- * Lazily provide the tile store of a memory-budgeted run.  The
- * campaign service installs its own store up front (rooted under the
- * checkpoint directory); a standalone run gets a per-process temp
- * directory that is removed when the last reference to the store —
- * state, checkpoints, tiled artifacts — is gone.  Where the spill
- * lives never affects a report bit.
+ * Lazily provide the tile store the Postprocess stage assembles into.
+ * The campaign service installs its own store up front (rooted under
+ * the checkpoint directory).  A standalone in-RAM run
+ * (memoryBudget == 0) gets a memory-only store; a standalone
+ * memory-budgeted run gets one that spills into `spillDir`, or into a
+ * per-process temp directory removed when the last reference to the
+ * store — state, checkpoints, tiled artifacts — is gone.  Which store
+ * backs the volume never affects a report bit.
  */
-std::optional<common::Error>
+void
 ensureTileStore(const PipelineConfig &config, StagedState &state)
 {
     if (state.tileStore)
-        return std::nullopt;
+        return;
+    if (config.memoryBudget == 0) {
+        state.tileStore =
+            std::make_shared<image::TileStore>(image::TileStoreConfig{});
+        return;
+    }
     namespace fs = std::filesystem;
 
     image::TileStoreConfig tc;
@@ -135,7 +142,6 @@ ensureTileStore(const PipelineConfig &config, StagedState &state)
                 std::filesystem::remove_all(dir, ec);
             }
         });
-    return std::nullopt;
 }
 
 // ---- Stage bodies --------------------------------------------------
@@ -311,35 +317,22 @@ stagePostprocess(const PipelineConfig &config, StagedState &state)
     post.algo = config.denoise;
     post.mi.bins = 16;
     post.mi.maxShift = 6;
-    if (config.memoryBudget > 0) {
-        // Out-of-core path: stream denoise -> register -> assemble
-        // over bounded slice windows into a tiled, spill-to-disk
-        // volume.  Same per-slice arithmetic, same report bits; only
-        // the peak working set changes (tests/test_volume.cc).
-        if (const auto err = ensureTileStore(config, state))
-            return err;
-        auto streamed = scope::postprocessStreamed(
-            stack, *state.tileStore, post,
-            image::TiledVolume3D::kDefaultTileEdge,
-            config.memoryBudget / 2);
-        if (!streamed.ok())
-            return streamed.error();
-        scope::StreamedPostprocessResult result =
-            streamed.takeValue();
-        report.alignmentResidualPx = result.alignmentResidualPx;
-        report.alignmentBudgetMet = result.meetsAlignmentBudget(
-            stack.slices.front().height());
-        state.processedTiled = std::make_shared<image::TiledVolume3D>(
-            std::move(result.volume));
-    } else {
-        scope::PostprocessResult processed =
-            scope::postprocess(stack, post);
-        report.alignmentResidualPx = processed.alignmentResidualPx;
-        report.alignmentBudgetMet = processed.meetsAlignmentBudget(
-            stack.slices.front().height());
-        state.processed = std::make_shared<image::Volume3D>(
-            std::move(processed.volume));
-    }
+    // One chain for every run: stream denoise -> register ->
+    // assemble over bounded slice windows into a tiled volume.  An
+    // in-RAM run's store is memory-only; a budgeted run's dirty tiles
+    // and store residency are bounded and spill to disk.
+    ensureTileStore(config, state);
+    auto streamed = scope::postprocessStreamed(
+        stack, *state.tileStore, post,
+        image::TiledVolume3D::kDefaultTileEdge, config.memoryBudget / 2);
+    if (!streamed.ok())
+        return streamed.error();
+    scope::StreamedPostprocessResult result = streamed.takeValue();
+    report.alignmentResidualPx = result.alignmentResidualPx;
+    report.alignmentBudgetMet =
+        result.meetsAlignmentBudget(stack.slices.front().height());
+    state.processedTiled =
+        std::make_shared<image::TiledVolume3D>(std::move(result.volume));
     if (!report.alignmentBudgetMet)
         common::warn("pipeline " + chip.id +
                      ": alignment residual exceeds the 0.77% budget");
@@ -360,28 +353,26 @@ stageAnalyze(const PipelineConfig &config, StagedState &state)
     scales.yNm = state.voxelNm;
     scales.zNm = state.voxelNm;
 
-    if (!state.processed && !state.processedTiled)
+    if (!state.processedTiled)
         return common::Error{
             common::ErrorCode::FailedPrecondition,
             "stageAnalyze: no processed volume (resume from a "
             "Postprocess checkpoint first)"};
 
-    // The analysis kernels are in-core; on the memory-budgeted path
-    // the tiled volume materializes just in time — after the stack
-    // has been dropped — so the two never coexist.
-    if (state.processedTiled) {
-        auto dense = state.processedTiled->toDense();
-        if (!dense.ok())
-            return dense.error();
-        state.processedTiled.reset();
-        const image::Volume3D volume = dense.takeValue();
-        report.analysis = re::analyzeRegion(
-            volume, scales, resolveDetector(config, chip));
-    } else {
-        report.analysis = re::analyzeRegion(
-            *state.processed, scales, resolveDetector(config, chip));
-        state.processed.reset();
-    }
+    // The analysis kernels are in-core: the tiled volume materializes
+    // just in time — after the stack has been dropped — so the two
+    // never coexist.
+    auto dense = state.processedTiled->toDense();
+    if (!dense.ok())
+        return dense.error();
+    // Nothing downstream reads tiles: drop the volume and the state's
+    // reference to its store, so a store this run created (memory-
+    // only, or a temp spill directory) is released before the
+    // analysis allocates.
+    state.processedTiled.reset();
+    state.tileStore.reset();
+    report.analysis = re::analyzeRegion(dense.value(), scales,
+                                        resolveDetector(config, chip));
     state.next = Stage::Finalize;
     return std::nullopt;
 }

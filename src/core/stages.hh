@@ -81,13 +81,10 @@ struct StagedState
     // ---- Stage artifacts ------------------------------------------
     std::shared_ptr<image::Volume3D> materials; ///< Fab -> Acquire
     std::shared_ptr<image::SliceStack> stack;   ///< Acquire -> Postpr.
-    std::shared_ptr<image::Volume3D> processed; ///< Postpr. -> Analyze
 
-    /// Postprocess -> Analyze on the memory-budgeted path
-    /// (config.memoryBudget > 0): the assembled volume stays sealed
-    /// in `tileStore` and Analyze materializes it just in time, so
-    /// the stack and the dense volume never coexist.  Exactly one of
-    /// `processed` / `processedTiled` is set after Postprocess.
+    /// Postprocess -> Analyze: the assembled volume, sealed in
+    /// `tileStore`.  Analyze materializes it just in time, so the
+    /// stack and the dense volume never coexist.
     std::shared_ptr<image::TiledVolume3D> processedTiled;
 
     // ---- Service hooks (not serialized, not result-affecting) -----
@@ -104,10 +101,11 @@ struct StagedState
     /**
      * Tile store backing `processedTiled` (and tile-referencing
      * checkpoints).  The campaign service provides one rooted under
-     * its checkpoint directory so tiles survive restarts; standalone
-     * memory-budgeted runs get an automatic temp-dir store (removed
-     * with the state) from the Postprocess stage.  Null on the
-     * in-RAM path.  Not result-affecting.
+     * its checkpoint directory so tiles survive restarts; otherwise
+     * the Postprocess stage installs a memory-only store for an
+     * in-RAM run and an automatic temp-dir store (removed with the
+     * state) for a memory-budgeted one.  Analyze drops the reference
+     * once the volume is materialized.  Not result-affecting.
      */
     std::shared_ptr<image::TileStore> tileStore;
 };

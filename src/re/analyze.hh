@@ -98,7 +98,8 @@ struct RegionAnalysis
 /**
  * Analyze a reconstructed (denoised, aligned) volume.
  *
- * @param recon    volume from scope::postprocess
+ * @param recon    volume assembled by scope::postprocessStreamed
+ *                 (materialized with TiledVolume3D::toDense)
  * @param scales   physical voxel pitch per axis
  * @param detector detector the stack was acquired with
  */

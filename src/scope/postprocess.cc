@@ -1,5 +1,6 @@
 #include "scope/postprocess.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/parallel.hh"
@@ -29,192 +30,6 @@ denoiseOne(const image::Image2D &slice, const PostprocessParams &p)
 
 } // namespace
 
-PostprocessResult
-postprocess(const image::SliceStack &stack,
-            const PostprocessParams &params)
-{
-    const telemetry::Span span("scope.postprocess");
-
-    // Degenerate stacks are well-defined no-ops rather than crashes:
-    // an empty stack yields an empty volume with no shifts, and a
-    // single-slice stack (which has no neighbour to register against)
-    // gets the identity shift and a zero residual.
-    if (stack.slices.empty())
-        return {};
-
-    // 1. Edge-preserving denoise per slice.
-    std::vector<image::Image2D> denoised;
-    denoised.reserve(stack.slices.size());
-    {
-        const telemetry::Span denoise_span("image.denoise");
-        for (const auto &slice : stack.slices)
-            denoised.push_back(denoiseOne(slice, params));
-    }
-
-    // 2. Chained mutual-information alignment.
-    PostprocessResult result;
-    {
-        const telemetry::Span register_span("image.register");
-        result.shifts = image::alignStack(denoised, params.mi);
-        if (stack.trueDrift.size() == result.shifts.size() &&
-            !stack.trueDrift.empty()) {
-            result.alignmentResidualPx = image::alignmentResidual(
-                result.shifts, stack.trueDrift);
-        }
-    }
-
-    // 3. Assemble the volume with the recovered corrections.
-    {
-        const telemetry::Span assemble_span("image.assemble");
-        result.volume =
-            image::assembleVolume(denoised, result.shifts);
-    }
-    return result;
-}
-
-// ---- Streaming chain -----------------------------------------------
-
-StreamingPostprocessor::StreamingPostprocessor(
-    size_t expectedSlices, image::TileStore &store,
-    const PostprocessParams &params, size_t tileEdge,
-    size_t dirtyBudgetBytes, size_t windowSlices)
-    : store_(store), params_(params), expected_(expectedSlices),
-      tileEdge_(tileEdge), dirtyBudget_(dirtyBudgetBytes),
-      window_(windowSlices ? windowSlices : kStreamWindowSlices)
-{
-    shifts_.reserve(expectedSlices);
-    trueDrift_.reserve(expectedSlices);
-}
-
-std::optional<common::Error>
-StreamingPostprocessor::push(
-    image::Image2D &&frame,
-    std::optional<std::pair<long, long>> trueDrift)
-{
-    if (finished_)
-        return common::Error{common::ErrorCode::FailedPrecondition,
-                             "StreamingPostprocessor: push after "
-                             "finish"};
-    if (pushed_ >= expected_)
-        return common::Error{
-            common::ErrorCode::InvalidArgument,
-            "StreamingPostprocessor: more slices than promised (" +
-                std::to_string(expected_) + ")"};
-
-    // The volume's (Y, Z) extent comes from the first frame.
-    if (volume_.empty()) {
-        auto vol = image::TiledVolume3D::create(
-            expected_, frame.width(), frame.height(), store_,
-            tileEdge_, dirtyBudget_);
-        if (!vol.ok())
-            return vol.error();
-        volume_ = vol.takeValue();
-    }
-
-    if (trueDrift)
-        trueDrift_.push_back(*trueDrift);
-    raw_.push_back(std::move(frame));
-    ++pushed_;
-    if (raw_.size() >= window_)
-        return drainWindow();
-    return std::nullopt;
-}
-
-std::optional<common::Error>
-StreamingPostprocessor::drainWindow()
-{
-    if (raw_.empty())
-        return std::nullopt;
-    const size_t n = raw_.size();
-
-    // 1. Denoise the window (independent per slice — same calls and
-    //    chunking as the dense chain, so thread-count invariant).
-    std::vector<image::Image2D> den(n);
-    {
-        const telemetry::Span denoise_span("image.denoise");
-        common::parallelFor(0, n, 1, [&](size_t i0, size_t i1) {
-            for (size_t i = i0; i < i1; ++i)
-                den[i] = denoiseOne(raw_[i], params_);
-        });
-    }
-
-    // 2. Pairwise MI registration against each slice's predecessor
-    //    (the previous window's last denoised slice anchors i == 0),
-    //    then the sequential chained accumulation of alignStack.
-    std::vector<std::pair<long, long>> pairwise(n, {0, 0});
-    {
-        const telemetry::Span register_span("image.register");
-        common::parallelFor(0, n, 1, [&](size_t i0, size_t i1) {
-            for (size_t i = i0; i < i1; ++i) {
-                if (i == 0 && !havePrev_)
-                    continue; // global slice 0: identity shift
-                const image::Image2D &fixed =
-                    i == 0 ? prevDenoised_ : den[i - 1];
-                pairwise[i] =
-                    image::registerShiftMi(fixed, den[i], params_.mi);
-            }
-        });
-        for (size_t i = 0; i < n; ++i) {
-            if (assembled_ + i > 0) {
-                accX_ += -pairwise[i].first;
-                accY_ += -pairwise[i].second;
-            }
-            shifts_.emplace_back(accX_, accY_);
-        }
-    }
-
-    // 3. Assemble the corrected slices into the tiled volume.
-    {
-        const telemetry::Span assemble_span("image.assemble");
-        for (size_t i = 0; i < n; ++i) {
-            const auto &shift = shifts_[assembled_ + i];
-            const image::Image2D corrected =
-                den[i].shifted(-shift.first, -shift.second);
-            if (auto err =
-                    volume_.setCrossSection(assembled_ + i, corrected))
-                return err;
-        }
-    }
-
-    prevDenoised_ = std::move(den.back());
-    havePrev_ = true;
-    assembled_ += n;
-    raw_.clear();
-    return std::nullopt;
-}
-
-common::Result<StreamedPostprocessResult>
-StreamingPostprocessor::finish()
-{
-    using R = common::Result<StreamedPostprocessResult>;
-    if (finished_)
-        return R::failure(common::ErrorCode::FailedPrecondition,
-                          "StreamingPostprocessor: already finished");
-    finished_ = true;
-    if (pushed_ != expected_)
-        return R::failure(common::ErrorCode::FailedPrecondition,
-                          "StreamingPostprocessor: got " +
-                              std::to_string(pushed_) +
-                              " slices, promised " +
-                              std::to_string(expected_));
-    if (auto err = drainWindow())
-        return R(*err);
-
-    StreamedPostprocessResult result;
-    if (!volume_.empty()) {
-        if (auto err = volume_.sealAll())
-            return R(*err);
-        result.volume = std::move(volume_);
-    }
-    result.shifts = std::move(shifts_);
-    if (trueDrift_.size() == result.shifts.size() &&
-        !trueDrift_.empty()) {
-        result.alignmentResidualPx =
-            image::alignmentResidual(result.shifts, trueDrift_);
-    }
-    return R(std::move(result));
-}
-
 common::Result<StreamedPostprocessResult>
 postprocessStreamed(const image::SliceStack &stack,
                     image::TileStore &store,
@@ -223,20 +38,79 @@ postprocessStreamed(const image::SliceStack &stack,
 {
     using R = common::Result<StreamedPostprocessResult>;
     const telemetry::Span span("scope.postprocess");
-    StreamingPostprocessor pp(stack.slices.size(), store, params,
-                              tileEdge, dirtyBudgetBytes,
-                              windowSlices);
-    const bool have_truth =
-        stack.trueDrift.size() == stack.slices.size();
-    for (size_t i = 0; i < stack.slices.size(); ++i) {
-        image::Image2D frame = stack.slices[i];
-        std::optional<std::pair<long, long>> drift;
-        if (have_truth)
-            drift = stack.trueDrift[i];
-        if (auto err = pp.push(std::move(frame), drift))
-            return R(*err);
+    const size_t n = stack.slices.size();
+    StreamedPostprocessResult result;
+    if (n == 0)
+        return R(std::move(result));
+
+    // The volume's (Y, Z) extent is the slice extent.
+    auto created = image::TiledVolume3D::create(
+        n, stack.slices.front().width(), stack.slices.front().height(),
+        store, tileEdge, dirtyBudgetBytes);
+    if (!created.ok())
+        return R(created.error());
+    image::TiledVolume3D volume = created.takeValue();
+
+    const size_t window = windowSlices ? windowSlices : kStreamWindowSlices;
+    result.shifts.reserve(n);
+    image::Image2D anchor; // previous window's last denoised slice
+    long acc_x = 0, acc_y = 0;
+    for (size_t begin = 0; begin < n; begin += window) {
+        const size_t count = std::min(window, n - begin);
+
+        // 1. Edge-preserving denoise, independent per slice.
+        std::vector<image::Image2D> den(count);
+        {
+            const telemetry::Span denoise_span("image.denoise");
+            common::parallelFor(0, count, 1, [&](size_t i0, size_t i1) {
+                for (size_t i = i0; i < i1; ++i)
+                    den[i] = denoiseOne(stack.slices[begin + i], params);
+            });
+        }
+
+        // 2. Pairwise MI registration against each slice's
+        //    predecessor, then the sequential chained accumulation.
+        std::vector<std::pair<long, long>> pairwise(count, {0, 0});
+        {
+            const telemetry::Span register_span("image.register");
+            common::parallelFor(0, count, 1, [&](size_t i0, size_t i1) {
+                for (size_t i = i0; i < i1; ++i) {
+                    if (begin + i == 0)
+                        continue; // slice 0: identity shift
+                    const image::Image2D &fixed =
+                        i == 0 ? anchor : den[i - 1];
+                    pairwise[i] =
+                        image::registerShiftMi(fixed, den[i], params.mi);
+                }
+            });
+            for (size_t i = 0; i < count; ++i) {
+                acc_x -= pairwise[i].first;
+                acc_y -= pairwise[i].second;
+                result.shifts.emplace_back(acc_x, acc_y);
+            }
+        }
+
+        // 3. Write the corrected slices into the tiled volume.
+        {
+            const telemetry::Span assemble_span("image.assemble");
+            for (size_t i = 0; i < count; ++i) {
+                const auto &shift = result.shifts[begin + i];
+                if (auto err = volume.setCrossSection(
+                        begin + i,
+                        den[i].shifted(-shift.first, -shift.second)))
+                    return R(*err);
+            }
+        }
+        anchor = std::move(den.back());
     }
-    return pp.finish();
+
+    if (auto err = volume.sealAll())
+        return R(*err);
+    result.volume = std::move(volume);
+    if (stack.trueDrift.size() == n)
+        result.alignmentResidualPx =
+            image::alignmentResidual(result.shifts, stack.trueDrift);
+    return R(std::move(result));
 }
 
 } // namespace scope

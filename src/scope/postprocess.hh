@@ -8,7 +8,6 @@
 #ifndef HIFI_SCOPE_POSTPROCESS_HH
 #define HIFI_SCOPE_POSTPROCESS_HH
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -35,40 +34,19 @@ struct PostprocessParams
     image::MiParams mi{32, 6};
 };
 
-/** Post-processing output. */
-struct PostprocessResult
-{
-    image::Volume3D volume;
-
-    /// Recovered per-slice shifts relative to slice 0.
-    std::vector<std::pair<long, long>> shifts;
-
-    /// Mean pixel residual vs the stack's ground-truth drift.
-    double alignmentResidualPx = 0.0;
-
-    /// Paper requirement: residual below 0.77% of the slice height.
-    bool meetsAlignmentBudget(size_t slice_height_px) const
-    {
-        return alignmentResidualPx <=
-            0.0077 * static_cast<double>(slice_height_px);
-    }
-};
-
-/// Run the full chain on an acquired stack.
-PostprocessResult postprocess(const image::SliceStack &stack,
-                              const PostprocessParams &params = {});
-
-/** Streaming post-processing output: the volume stays tiled. */
+/** Post-processing output: the assembled volume stays tiled. */
 struct StreamedPostprocessResult
 {
     /// Assembled volume, sealed into its tile store (no owned voxel
     /// memory; call toDense() to opt back into an in-core volume).
+    /// Empty for an empty stack.
     image::TiledVolume3D volume;
 
     /// Recovered per-slice shifts relative to slice 0.
     std::vector<std::pair<long, long>> shifts;
 
-    /// Mean pixel residual vs the streamed ground-truth drift.
+    /// Mean pixel residual vs the stack's ground-truth drift (0 when
+    /// the stack carries no drift for every slice).
     double alignmentResidualPx = 0.0;
 
     /// Paper requirement: residual below 0.77% of the slice height.
@@ -80,77 +58,25 @@ struct StreamedPostprocessResult
 };
 
 /**
- * Push-based post-processing: consumes slices in acquisition order
- * and runs the identical denoise → chained-MI-register → assemble
- * chain over a bounded window, writing each corrected slice straight
- * into a TiledVolume3D instead of accumulating the stack.
+ * Run the chain over `stack` in windows of `windowSlices` slices
+ * (0 = kStreamWindowSlices): denoise the window's slices in parallel,
+ * register each against its predecessor with MI (the previous
+ * window's last denoised slice anchors the first), accumulate the
+ * chained shifts in slice order, and write each corrected slice
+ * straight into a TiledVolume3D over `store`.
  *
- * Bit-identity: the per-slice denoise calls, the pairwise
- * registrations, the sequential shift accumulation and the per-slice
- * assembly writes are exactly those of `postprocess` — only the
- * buffering changes — so the result is bitwise identical to the
- * in-RAM chain at any window size, tile size, budget and thread
- * count (asserted by tests/test_volume.cc).  The working set is one
- * window of raw + denoised frames, the previous window's last
- * denoised slice (the registration anchor) and the volume's dirty
- * tile budget.
- */
-class StreamingPostprocessor
-{
-  public:
-    /**
-     * @param expectedSlices  total slices that will be pushed (the
-     *                        volume's X extent)
-     * @param store           tile store backing the assembled volume
-     * @param windowSlices    slices buffered per drain; 0 = the
-     *                        batch-solver-matched kStreamWindowSlices
-     */
-    StreamingPostprocessor(
-        size_t expectedSlices, image::TileStore &store,
-        const PostprocessParams &params = {},
-        size_t tileEdge = image::TiledVolume3D::kDefaultTileEdge,
-        size_t dirtyBudgetBytes = 0,
-        size_t windowSlices = kStreamWindowSlices);
-
-    /// Feed the next slice (strictly in order 0, 1, 2, ...).  A
-    /// disengaged trueDrift marks ground truth unavailable, which
-    /// suppresses the residual exactly like a short trueDrift vector
-    /// does in the dense chain.
-    std::optional<common::Error>
-    push(image::Image2D &&frame,
-         std::optional<std::pair<long, long>> trueDrift);
-
-    /// Drain buffered slices, seal the volume and finalize.  Typed
-    /// FailedPrecondition when fewer slices arrived than promised.
-    common::Result<StreamedPostprocessResult> finish();
-
-  private:
-    std::optional<common::Error> drainWindow();
-
-    image::TileStore &store_;
-    PostprocessParams params_;
-    size_t expected_ = 0;
-    size_t tileEdge_ = 0;
-    size_t dirtyBudget_ = 0;
-    size_t window_ = kStreamWindowSlices;
-
-    size_t pushed_ = 0;    ///< slices received
-    size_t assembled_ = 0; ///< slices written into the volume
-    std::vector<image::Image2D> raw_; ///< current window buffer
-    image::Image2D prevDenoised_;     ///< registration anchor
-    bool havePrev_ = false;
-    long accX_ = 0, accY_ = 0; ///< chained shift accumulator
-
-    image::TiledVolume3D volume_;
-    std::vector<std::pair<long, long>> shifts_;
-    std::vector<std::pair<long, long>> trueDrift_;
-    bool finished_ = false;
-};
-
-/**
- * Stack-in, tiled-volume-out convenience wrapper over
- * StreamingPostprocessor (used by tests and the memory-budgeted
- * pipeline when the stack already exists).
+ * The working set is one window of denoised frames, the registration
+ * anchor and the volume's dirty tiles (`dirtyBudgetBytes`, 0 =
+ * unbounded).  An in-RAM run passes a memory-only store
+ * (image::TileStoreConfig with no dir and no budget); a budgeted run
+ * passes a spilling one.  The result is bitwise identical at any
+ * window size, tile edge, budget and thread count (asserted by
+ * tests/test_volume.cc against a dense denoise + alignStack +
+ * assembleVolume oracle).
+ *
+ * Degenerate stacks are well defined: an empty stack yields an empty
+ * volume with no shifts, and a single slice gets the identity shift.
+ * Tile-store failures come back as typed errors.
  */
 common::Result<StreamedPostprocessResult> postprocessStreamed(
     const image::SliceStack &stack, image::TileStore &store,

@@ -164,9 +164,9 @@ struct CampaignService::Impl
 
     std::optional<scope::CleanFrameCache> cleanFrames;
 
-    /// Tile store backing v2 (tile-referencing) checkpoints and the
-    /// spill tier of memory-budgeted jobs; null when checkpointing
-    /// is disabled.
+    /// Tile store backing the checkpoints and every job's processed
+    /// volume; null when checkpointing is disabled (each job's
+    /// Postprocess stage then provides its own store).
     std::shared_ptr<image::TileStore> tileStore;
 
     /// Content-addressed post-Fab cache: fabDigest -> StagedState

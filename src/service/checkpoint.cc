@@ -16,8 +16,9 @@ namespace
 {
 
 constexpr uint64_t kMagic = 0x48494649434b5031ull; // "HIFICKP1"
-constexpr uint32_t kVersion = 1;      ///< artifact voxels inline
-constexpr uint32_t kVersionTiled = 2; ///< artifacts as tile digests
+
+/// The one accepted format version: artifacts as tile digests.
+constexpr uint32_t kVersion = 2;
 
 // ---- Byte-stream primitives ---------------------------------------
 // Native-endian binary encoding: a checkpoint resumes on the machine
@@ -68,14 +69,6 @@ struct Writer
         d(r.y0);
         d(r.x1);
         d(r.y1);
-    }
-
-    void
-    floats(const std::vector<float> &v)
-    {
-        u64(v.size());
-        out.append(reinterpret_cast<const char *>(v.data()),
-                   v.size() * sizeof(float));
     }
 };
 
@@ -155,21 +148,6 @@ struct Reader
         r.x1 = d();
         r.y1 = d();
         return r;
-    }
-
-    std::vector<float>
-    floats()
-    {
-        const uint64_t n = u64();
-        if (!ok || in.size() - pos < n * sizeof(float) ||
-            n > in.size()) {
-            ok = false;
-            return {};
-        }
-        std::vector<float> v(n);
-        std::memcpy(v.data(), in.data() + pos, n * sizeof(float));
-        pos += n * sizeof(float);
-        return v;
     }
 };
 
@@ -509,62 +487,12 @@ readReport(Reader &rd)
 }
 
 // ---- Artifacts ----------------------------------------------------
+// Voxels live in the content-addressed tile store; the checkpoint
+// image holds dimensions + tile digests.  A corrupted or missing tile
+// surfaces as DataLoss when fetched — the same taxonomy as a torn
+// checkpoint file, and never a silent resume.
 
-void
-writeImage(Writer &w, const image::Image2D &img)
-{
-    w.u64(img.width());
-    w.u64(img.height());
-    w.floats(img.data());
-}
-
-image::Image2D
-readImage(Reader &rd)
-{
-    const uint64_t width = rd.u64();
-    const uint64_t height = rd.u64();
-    std::vector<float> data = rd.floats();
-    if (!rd.ok || data.size() != width * height) {
-        rd.ok = false;
-        return {};
-    }
-    image::Image2D img(width, height);
-    img.data() = std::move(data);
-    return img;
-}
-
-void
-writeVolume(Writer &w, const image::Volume3D &v)
-{
-    w.u64(v.nx());
-    w.u64(v.ny());
-    w.u64(v.nz());
-    const size_t n = v.nx() * v.ny() * v.nz();
-    w.u64(n);
-    w.out.append(reinterpret_cast<const char *>(v.data()),
-                 n * sizeof(float));
-}
-
-std::shared_ptr<image::Volume3D>
-readVolume(Reader &rd)
-{
-    const uint64_t nx = rd.u64();
-    const uint64_t ny = rd.u64();
-    const uint64_t nz = rd.u64();
-    std::vector<float> data = rd.floats();
-    if (!rd.ok || data.size() != nx * ny * nz) {
-        rd.ok = false;
-        return nullptr;
-    }
-    auto v = std::make_shared<image::Volume3D>(nx, ny, nz);
-    for (size_t x = 0; x < nx; ++x)
-        for (size_t y = 0; y < ny; ++y)
-            for (size_t z = 0; z < nz; ++z)
-                v->at(x, y, z) = data[(z * ny + y) * nx + x];
-    return v;
-}
-
-/// Per-slice metadata shared by the inline and tiled stack formats.
+/// Per-slice metadata of a stack artifact.
 void
 writeStackMeta(Writer &w, const image::SliceStack &s)
 {
@@ -586,15 +514,6 @@ writeStackMeta(Writer &w, const image::SliceStack &s)
     }
     w.d(s.sliceThicknessNm);
     w.d(s.pixelResolutionNm);
-}
-
-void
-writeStack(Writer &w, const image::SliceStack &s)
-{
-    w.u64(s.slices.size());
-    for (const auto &img : s.slices)
-        writeImage(w, img);
-    writeStackMeta(w, s);
 }
 
 void
@@ -623,35 +542,18 @@ readStackMeta(Reader &rd, image::SliceStack &s)
     s.pixelResolutionNm = rd.d();
 }
 
-std::shared_ptr<image::SliceStack>
-readStack(Reader &rd)
-{
-    auto s = std::make_shared<image::SliceStack>();
-    const uint64_t slices = rd.u64();
-    for (uint64_t i = 0; rd.ok && i < slices; ++i)
-        s->slices.push_back(readImage(rd));
-    readStackMeta(rd, *s);
-    return rd.ok ? s : nullptr;
-}
-
 /// Artifact tags (which stage payload follows the report).
 enum ArtifactTag : uint8_t
 {
     kArtifactNone = 0,
     kArtifactMaterials = 1,
     kArtifactStack = 2,
-    kArtifactProcessed = 3,
+    // 3 is retired: never reuse a tag value.
 
-    /// v2 only: the postprocessed volume stays tiled across the
-    /// resume (stageAnalyze re-pins it from the store on demand).
+    /// The postprocessed volume stays tiled across the resume
+    /// (stageAnalyze re-pins it from the store on demand).
     kArtifactProcessedTiled = 4,
 };
-
-// ---- Tiled (v2) artifacts ------------------------------------------
-// Voxels live in the content-addressed tile store; the checkpoint
-// image holds dimensions + tile digests.  A corrupted or missing tile
-// surfaces as DataLoss when fetched — the same taxonomy as a torn
-// checkpoint file, and never a silent resume.
 
 /// The store owns tile durability; a digest it cannot serve while a
 /// checkpoint references it is lost data, not a lookup miss.
@@ -678,8 +580,7 @@ writeTileGrid(Writer &w, size_t nx, size_t ny, size_t nz, size_t edge,
 }
 
 std::optional<common::Error>
-writeVolumeTiled(Writer &w, const image::Volume3D &v,
-                 image::TileStore &tiles)
+writeVolume(Writer &w, const image::Volume3D &v, image::TileStore &tiles)
 {
     auto tiled = image::TiledVolume3D::fromDense(v, tiles);
     if (!tiled.ok())
@@ -720,7 +621,7 @@ readTiledVolume(Reader &rd, image::TileStore &tiles)
 }
 
 common::Result<std::shared_ptr<image::Volume3D>>
-readVolumeTiled(Reader &rd, image::TileStore &tiles)
+readVolume(Reader &rd, image::TileStore &tiles)
 {
     using R = common::Result<std::shared_ptr<image::Volume3D>>;
     auto tv = readTiledVolume(rd, tiles);
@@ -733,8 +634,7 @@ readVolumeTiled(Reader &rd, image::TileStore &tiles)
 }
 
 std::optional<common::Error>
-writeStackTiled(Writer &w, const image::SliceStack &s,
-                image::TileStore &tiles)
+writeStack(Writer &w, const image::SliceStack &s, image::TileStore &tiles)
 {
     w.u64(s.slices.size());
     for (const auto &img : s.slices) {
@@ -750,7 +650,7 @@ writeStackTiled(Writer &w, const image::SliceStack &s,
 }
 
 common::Result<std::shared_ptr<image::SliceStack>>
-readStackTiled(Reader &rd, image::TileStore &tiles)
+readStack(Reader &rd, image::TileStore &tiles)
 {
     using R = common::Result<std::shared_ptr<image::SliceStack>>;
     auto s = std::make_shared<image::SliceStack>();
@@ -802,10 +702,16 @@ fabDigest(const core::PipelineConfig &config)
     return fnv(w.out.data(), w.out.size());
 }
 
-std::string
+common::Result<std::string>
 encodeCheckpoint(const core::PipelineConfig &config,
-                 const core::StagedState &state)
+                 const core::StagedState &state,
+                 const std::shared_ptr<image::TileStore> &tiles)
 {
+    using R = common::Result<std::string>;
+    if (!tiles)
+        return R::failure(common::ErrorCode::FailedPrecondition,
+                          "checkpoint: encoding needs a tile store");
+
     Writer w;
     w.u64(kMagic);
     w.u32(kVersion);
@@ -815,108 +721,40 @@ encodeCheckpoint(const core::PipelineConfig &config,
     w.d(state.sliceThicknessNm);
     writeReport(w, state.report);
 
-    switch (state.next) {
-      case core::Stage::Acquire:
+    if (state.next == core::Stage::Acquire && state.materials) {
         w.u8(kArtifactMaterials);
-        writeVolume(w, *state.materials);
-        break;
-      case core::Stage::Postprocess:
-        w.u8(kArtifactStack);
-        writeStack(w, *state.stack);
-        break;
-      case core::Stage::Analyze:
-        if (state.processed) {
-            w.u8(kArtifactProcessed);
-            writeVolume(w, *state.processed);
-        } else if (state.processedTiled) {
-            // A tiled artifact in a v1 image has to be materialized;
-            // callers on the memory-budgeted path should pass a tile
-            // store and get the v2 encoding instead.
-            auto dense = state.processedTiled->toDense();
-            if (dense.ok()) {
-                w.u8(kArtifactProcessed);
-                writeVolume(w, dense.value());
-            } else {
-                w.u8(kArtifactNone);
-            }
-        } else {
-            w.u8(kArtifactNone);
-        }
-        break;
-      default:
-        w.u8(kArtifactNone);
-        break;
-    }
-
-    w.u64(fnv(w.out.data(), w.out.size()));
-    return std::move(w.out);
-}
-
-common::Result<std::string>
-encodeCheckpoint(const core::PipelineConfig &config,
-                 const core::StagedState &state,
-                 const std::shared_ptr<image::TileStore> &tiles)
-{
-    using R = common::Result<std::string>;
-    if (!tiles)
-        return R(encodeCheckpoint(config, state));
-
-    Writer w;
-    w.u64(kMagic);
-    w.u32(kVersionTiled);
-    w.u64(configDigest(config));
-    w.u32(static_cast<uint32_t>(state.next));
-    w.d(state.voxelNm);
-    w.d(state.sliceThicknessNm);
-    writeReport(w, state.report);
-
-    switch (state.next) {
-      case core::Stage::Acquire:
-        w.u8(kArtifactMaterials);
-        if (auto err = writeVolumeTiled(w, *state.materials, *tiles))
+        if (auto err = writeVolume(w, *state.materials, *tiles))
             return R(*err);
-        break;
-      case core::Stage::Postprocess:
+    } else if (state.next == core::Stage::Postprocess && state.stack) {
         w.u8(kArtifactStack);
-        if (auto err = writeStackTiled(w, *state.stack, *tiles))
+        if (auto err = writeStack(w, *state.stack, *tiles))
             return R(*err);
-        break;
-      case core::Stage::Analyze:
+    } else if (state.next == core::Stage::Analyze &&
+               state.processedTiled) {
         w.u8(kArtifactProcessedTiled);
-        if (state.processedTiled) {
-            // Usually already sealed into this very store (the
-            // service installs its store as state.tileStore before
-            // the stages run); only digests a *different* store
-            // produced need rehydrating through a dense round trip.
-            auto digests = state.processedTiled->digests();
-            if (!digests.ok())
-                return R(digests.error());
-            bool all_here = true;
-            for (const uint64_t d : digests.value())
-                all_here = all_here && tiles->contains(d);
-            if (all_here) {
-                writeTileGrid(w, state.processedTiled->nx(),
-                              state.processedTiled->ny(),
-                              state.processedTiled->nz(),
-                              state.processedTiled->tileEdge(),
-                              digests.value());
-            } else {
-                auto dense = state.processedTiled->toDense();
-                if (!dense.ok())
-                    return R(dense.error());
-                if (auto err =
-                        writeVolumeTiled(w, dense.value(), *tiles))
-                    return R(*err);
-            }
+        // Usually already sealed into this very store (the service
+        // installs its store as state.tileStore before the stages
+        // run); only digests a *different* store produced need
+        // rehydrating through a dense round trip.
+        image::TiledVolume3D &vol = *state.processedTiled;
+        auto digests = vol.digests();
+        if (!digests.ok())
+            return R(digests.error());
+        bool all_here = true;
+        for (const uint64_t d : digests.value())
+            all_here = all_here && tiles->contains(d);
+        if (all_here) {
+            writeTileGrid(w, vol.nx(), vol.ny(), vol.nz(),
+                          vol.tileEdge(), digests.value());
         } else {
-            if (auto err =
-                    writeVolumeTiled(w, *state.processed, *tiles))
+            auto dense = vol.toDense();
+            if (!dense.ok())
+                return R(dense.error());
+            if (auto err = writeVolume(w, dense.value(), *tiles))
                 return R(*err);
         }
-        break;
-      default:
+    } else {
         w.u8(kArtifactNone);
-        break;
     }
 
     w.u64(fnv(w.out.data(), w.out.size()));
@@ -944,14 +782,12 @@ decodeCheckpoint(const std::string &bytes,
     if (rd.u64() != kMagic)
         return R::failure(common::ErrorCode::DataLoss,
                           "checkpoint: bad magic");
-    const uint32_t version = rd.u32();
-    if (version != kVersion && version != kVersionTiled)
+    if (rd.u32() != kVersion)
         return R::failure(common::ErrorCode::FailedPrecondition,
                           "checkpoint: unsupported version");
-    if (version == kVersionTiled && !tiles)
+    if (!tiles)
         return R::failure(common::ErrorCode::FailedPrecondition,
-                          "checkpoint: tile-referencing image needs "
-                          "a tile store to decode");
+                          "checkpoint: decoding needs a tile store");
     if (rd.u64() != configDigest(config))
         return R::failure(common::ErrorCode::FailedPrecondition,
                           "checkpoint: written under a different "
@@ -966,39 +802,24 @@ decodeCheckpoint(const std::string &bytes,
     state.sliceThicknessNm = rd.d();
     state.report = readReport(rd);
 
-    const uint8_t tag = rd.u8();
-    const bool tiled = version == kVersionTiled;
-    switch (tag) {
+    switch (rd.u8()) {
       case kArtifactNone:
         break;
-      case kArtifactMaterials:
-        if (tiled) {
-            auto v = readVolumeTiled(rd, *tiles);
-            if (!v.ok())
-                return R(v.error());
-            state.materials = v.takeValue();
-        } else {
-            state.materials = readVolume(rd);
-        }
+      case kArtifactMaterials: {
+        auto v = readVolume(rd, *tiles);
+        if (!v.ok())
+            return R(v.error());
+        state.materials = v.takeValue();
         break;
-      case kArtifactStack:
-        if (tiled) {
-            auto s = readStackTiled(rd, *tiles);
-            if (!s.ok())
-                return R(s.error());
-            state.stack = s.takeValue();
-        } else {
-            state.stack = readStack(rd);
-        }
+      }
+      case kArtifactStack: {
+        auto s = readStack(rd, *tiles);
+        if (!s.ok())
+            return R(s.error());
+        state.stack = s.takeValue();
         break;
-      case kArtifactProcessed:
-        state.processed = readVolume(rd);
-        break;
+      }
       case kArtifactProcessedTiled: {
-        if (!tiled)
-            return R::failure(common::ErrorCode::DataLoss,
-                              "checkpoint: tiled artifact tag in a "
-                              "v1 image");
         // Resume re-pins: the volume references the store's tiles
         // and fetches them when the Analyze stage reads, instead of
         // re-reading every voxel here.

@@ -50,19 +50,13 @@ uint64_t fabDigest(const core::PipelineConfig &config);
 
 /**
  * Serialize `state` for `config` into a byte string (the in-memory
- * checkpoint image).  Serializes only the artifact the cursor still
- * needs, so the image shrinks as the run progresses.  This is the
- * self-contained v1 image: artifact voxels are embedded inline.
- */
-std::string encodeCheckpoint(const core::PipelineConfig &config,
-                             const core::StagedState &state);
-
-/**
- * Tile-referencing (v2) encoding: artifact voxels are sealed into
- * `tiles` (content-addressed, deduplicated across saves) and the
- * checkpoint image stores only their digests, so repeated saves of
- * an unchanged artifact write almost nothing and the image stays
- * small at every stage.  Typed errors on store I/O failures.
+ * checkpoint image).  Only the artifact the cursor still needs is
+ * stored, and its voxels are sealed into `tiles` (content-addressed,
+ * deduplicated across saves): the image holds just their digests, so
+ * repeated saves of an unchanged artifact write almost nothing and
+ * the image stays small at every stage.  Typed errors:
+ * FailedPrecondition without a tile store, store I/O failures as the
+ * store reports them.
  */
 common::Result<std::string>
 encodeCheckpoint(const core::PipelineConfig &config,
@@ -74,28 +68,29 @@ encodeCheckpoint(const core::PipelineConfig &config,
  * payload digest and the config identity.  Typed failures:
  * DataLoss for truncation/corruption — including a referenced tile
  * that is missing, truncated or fails its digest check —
- * FailedPrecondition for a config mismatch, an unsupported version,
- * or a tile-referencing (v2) image decoded without a tile store.
- * A decoded tiled artifact re-pins lazily: tiles are verified and
- * fetched when the resumed stage reads them, not eagerly here.
+ * FailedPrecondition for a config mismatch, an unsupported version
+ * (the retired version-1 images with inline voxels included), or a
+ * missing tile store.  A decoded postprocessed volume re-pins lazily:
+ * tiles are verified and fetched when the resumed stage reads them,
+ * not eagerly here.
  */
 common::Result<core::StagedState>
 decodeCheckpoint(const std::string &bytes,
                  const core::PipelineConfig &config,
-                 const std::shared_ptr<image::TileStore> &tiles = {});
+                 const std::shared_ptr<image::TileStore> &tiles);
 
 /**
  * Atomically write the checkpoint for (config, state) to `path`:
  * the image is written to "<path>.tmp" and renamed over `path`, so a
  * crash mid-write leaves either the previous checkpoint or none —
- * never a torn file.  With `tiles` the v2 tile-referencing encoding
- * is used.  Typed Internal error on I/O failure.
+ * never a torn file.  Typed Internal error on I/O failure, otherwise
+ * the encodeCheckpoint failure taxonomy.
  */
 std::optional<common::Error>
 saveCheckpoint(const std::string &path,
                const core::PipelineConfig &config,
                const core::StagedState &state,
-               const std::shared_ptr<image::TileStore> &tiles = {});
+               const std::shared_ptr<image::TileStore> &tiles);
 
 /**
  * Load and decode the checkpoint at `path`.  NotFound when the file
@@ -105,7 +100,7 @@ saveCheckpoint(const std::string &path,
 common::Result<core::StagedState>
 loadCheckpoint(const std::string &path,
                const core::PipelineConfig &config,
-               const std::shared_ptr<image::TileStore> &tiles = {});
+               const std::shared_ptr<image::TileStore> &tiles);
 
 /// Remove a checkpoint file if present (best-effort; used after a
 /// job completes so a rerun starts fresh).

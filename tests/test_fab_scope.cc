@@ -509,10 +509,20 @@ TEST(Fib, FinerSlicesCostMore)
               scope::campaignCost(coarse).totalHours);
 }
 
+/// Run the post-processing chain into a memory-only tile store.
+scope::StreamedPostprocessResult
+postprocessInRam(const image::SliceStack &stack)
+{
+    image::TileStore store(image::TileStoreConfig{});
+    auto result = scope::postprocessStreamed(stack, store);
+    EXPECT_TRUE(result.ok()) << result.error().message;
+    return result.takeValue();
+}
+
 TEST(Postprocess, EmptyStackIsWellDefinedNoOp)
 {
     image::SliceStack stack;
-    const auto result = scope::postprocess(stack);
+    const auto result = postprocessInRam(stack);
     EXPECT_TRUE(result.volume.empty());
     EXPECT_TRUE(result.shifts.empty());
     EXPECT_EQ(result.alignmentResidualPx, 0.0);
@@ -530,7 +540,7 @@ TEST(Postprocess, SingleSliceStackIsIdentity)
     const auto stack = scope::acquire(vol, params, rng);
     ASSERT_EQ(stack.slices.size(), 1u);
 
-    const auto result = scope::postprocess(stack);
+    const auto result = postprocessInRam(stack);
     ASSERT_EQ(result.shifts.size(), 1u);
     EXPECT_EQ(result.shifts[0], (std::pair<long, long>{0, 0}));
     EXPECT_EQ(result.alignmentResidualPx, 0.0);
@@ -556,7 +566,7 @@ TEST(Postprocess, MeetsAlignmentBudgetOnSyntheticStack)
     common::Rng rng(6);
     const auto stack = scope::acquire(vol, params, rng);
 
-    const auto result = scope::postprocess(stack);
+    const auto result = postprocessInRam(stack);
     EXPECT_LT(result.alignmentResidualPx, 0.5);
     EXPECT_TRUE(result.meetsAlignmentBudget(512));
     EXPECT_EQ(result.volume.nx(), stack.slices.size());

@@ -95,6 +95,32 @@ scratchDir(const std::string &name)
     return dir.string();
 }
 
+/// Memory-only tile store: the checkpoint store of a test without a
+/// checkpoint directory.
+std::shared_ptr<hifi::image::TileStore>
+memoryStore()
+{
+    return std::make_shared<hifi::image::TileStore>(
+        hifi::image::TileStoreConfig{});
+}
+
+/// `image` with its format version replaced and its trailing payload
+/// digest (FNV-1a over everything before it) recomputed, so only the
+/// version check can reject it.
+std::string
+withVersion(std::string image, uint32_t version)
+{
+    std::memcpy(&image[sizeof(uint64_t)], &version, sizeof(version));
+    uint64_t h = 1469598103934665603ull;
+    const size_t payload = image.size() - sizeof(uint64_t);
+    for (size_t i = 0; i < payload; ++i) {
+        h ^= static_cast<unsigned char>(image[i]);
+        h *= 1099511628211ull;
+    }
+    std::memcpy(&image[payload], &h, sizeof(h));
+    return image;
+}
+
 /// Run the staged pipeline to completion; returns the final digest.
 uint64_t
 runStagedToEnd(const PipelineConfig &config, StagedState &state)
@@ -163,25 +189,26 @@ TEST(Checkpoint, ResumeAtEveryStageBoundaryIsBitIdentical)
     PipelineConfig config = testConfig(42);
     config.threads = 1;
 
-    // Reference run, capturing the checkpoint image at every stage
-    // boundary the service would checkpoint at.
+    // Reference run, capturing the in-memory checkpoint image at
+    // every stage boundary the service would checkpoint at, with its
+    // artifact tiles in a memory-only store.
+    const auto tiles = memoryStore();
     auto init = hifi::core::initStagedRun(config);
     ASSERT_TRUE(init.ok());
     StagedState state = init.takeValue();
     std::vector<std::string> boundaries;
     while (state.next != Stage::Done) {
         ASSERT_FALSE(hifi::core::runStage(config, state));
-        if (state.next != Stage::Done)
-            boundaries.push_back(
-                hifi::service::encodeCheckpoint(config, state));
+        if (state.next != Stage::Done) {
+            auto image =
+                hifi::service::encodeCheckpoint(config, state, tiles);
+            ASSERT_TRUE(image.ok()) << image.error().message;
+            boundaries.push_back(image.takeValue());
+        }
     }
     const uint64_t reference = hifi::core::reportDigest(state.report);
     EXPECT_EQ(reference, directDigest(testConfig(42)));
     ASSERT_EQ(boundaries.size(), hifi::core::kNumStages - 1);
-
-    // The image shrinks once the bulky early artifacts are dropped:
-    // the post-Analyze checkpoint carries no artifact at all.
-    EXPECT_LT(boundaries.back().size(), boundaries.front().size());
 
     // Resume from every boundary, cycling the thread count through
     // 1/2/8 — the completed report must be bitwise-identical.
@@ -189,8 +216,8 @@ TEST(Checkpoint, ResumeAtEveryStageBoundaryIsBitIdentical)
     for (size_t i = 0; i < boundaries.size(); ++i) {
         PipelineConfig resumed = config;
         resumed.threads = threadCycle[i % 3];
-        auto decoded =
-            hifi::service::decodeCheckpoint(boundaries[i], resumed);
+        auto decoded = hifi::service::decodeCheckpoint(
+            boundaries[i], resumed, tiles);
         ASSERT_TRUE(decoded.ok()) << decoded.error().message;
         StagedState replay = decoded.takeValue();
         EXPECT_EQ(static_cast<size_t>(replay.next), i + 1);
@@ -208,54 +235,72 @@ TEST(Checkpoint, TypedFailureTaxonomy)
     ASSERT_TRUE(init.ok());
     StagedState state = init.takeValue();
     ASSERT_FALSE(hifi::core::runStage(config, state)); // Fab only
-    const std::string image =
-        hifi::service::encodeCheckpoint(config, state);
+    const auto tiles = memoryStore();
+    auto encoded = hifi::service::encodeCheckpoint(config, state, tiles);
+    ASSERT_TRUE(encoded.ok()) << encoded.error().message;
+    const std::string image = encoded.takeValue();
 
     // Pristine image decodes.
-    EXPECT_TRUE(hifi::service::decodeCheckpoint(image, config).ok());
+    EXPECT_TRUE(
+        hifi::service::decodeCheckpoint(image, config, tiles).ok());
 
     // Threads are operational, not identity: a different thread
     // count still accepts the checkpoint.
     PipelineConfig rethreaded = config;
     rethreaded.threads = 8;
     EXPECT_TRUE(
-        hifi::service::decodeCheckpoint(image, rethreaded).ok());
+        hifi::service::decodeCheckpoint(image, rethreaded, tiles).ok());
 
     // A flipped payload byte is DataLoss.
     std::string corrupt = image;
     corrupt[corrupt.size() / 2] ^= 0x5a;
-    auto bad = hifi::service::decodeCheckpoint(corrupt, config);
+    auto bad = hifi::service::decodeCheckpoint(corrupt, config, tiles);
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, ErrorCode::DataLoss);
 
     // Truncation (torn write) is DataLoss.
     auto torn = hifi::service::decodeCheckpoint(
-        image.substr(0, image.size() - 9), config);
+        image.substr(0, image.size() - 9), config, tiles);
     ASSERT_FALSE(torn.ok());
     EXPECT_EQ(torn.error().code, ErrorCode::DataLoss);
 
     // A result-affecting config change is FailedPrecondition.
     PipelineConfig reseeded = config;
     reseeded.seed = config.seed + 1;
-    auto mismatch = hifi::service::decodeCheckpoint(image, reseeded);
+    auto mismatch =
+        hifi::service::decodeCheckpoint(image, reseeded, tiles);
     ASSERT_FALSE(mismatch.ok());
     EXPECT_EQ(mismatch.error().code, ErrorCode::FailedPrecondition);
     EXPECT_NE(hifi::service::configDigest(config),
               hifi::service::configDigest(reseeded));
 
+    // A retired version-1 image (voxels inline) is FailedPrecondition,
+    // even with an intact payload digest.
+    const std::string v1 = withVersion(image, 1);
+    auto retired = hifi::service::decodeCheckpoint(v1, config, tiles);
+    ASSERT_FALSE(retired.ok());
+    EXPECT_EQ(retired.error().code, ErrorCode::FailedPrecondition);
+    EXPECT_NE(retired.error().message.find("unsupported version"),
+              std::string::npos);
+    EXPECT_TRUE(hifi::service::decodeCheckpoint(withVersion(v1, 2),
+                                                config, tiles)
+                    .ok());
+
     // File round trip: save atomically, load, digests agree.
     const std::string dir = scratchDir("codec");
     const std::string path = dir + "/job.ckpt";
-    EXPECT_FALSE(hifi::service::saveCheckpoint(path, config, state));
-    auto loaded = hifi::service::loadCheckpoint(path, config);
+    EXPECT_FALSE(
+        hifi::service::saveCheckpoint(path, config, state, tiles));
+    auto loaded = hifi::service::loadCheckpoint(path, config, tiles);
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_EQ(
-        hifi::service::encodeCheckpoint(config, loaded.value()),
-        image);
+    auto reencoded =
+        hifi::service::encodeCheckpoint(config, loaded.value(), tiles);
+    ASSERT_TRUE(reencoded.ok());
+    EXPECT_EQ(reencoded.value(), image);
 
     // Removal yields NotFound, the "start from scratch" signal.
     hifi::service::removeCheckpoint(path);
-    auto gone = hifi::service::loadCheckpoint(path, config);
+    auto gone = hifi::service::loadCheckpoint(path, config, tiles);
     ASSERT_FALSE(gone.ok());
     EXPECT_EQ(gone.error().code, ErrorCode::NotFound);
 }
@@ -294,12 +339,9 @@ TEST(Checkpoint, TiledImagesResumeAtEveryStageBoundary)
 
     // A tile-referencing image stays small at the bulky boundaries:
     // the voxels live in the store, the image holds digests.
-    const auto v1Bytes =
-        hifi::service::encodeCheckpoint(config, state).size();
     for (const std::string &path : paths)
         EXPECT_LT(std::filesystem::file_size(path), 1u << 20)
             << path;
-    (void)v1Bytes;
 
     // Resume from every boundary with a FRESH store instance over the
     // same directory (a restarted process re-pins from disk), cycling
@@ -355,9 +397,15 @@ TEST(Checkpoint, TiledImageNeedsAStoreToDecode)
                                                 tiles)
                     .ok());
     auto blind =
-        hifi::service::decodeCheckpoint(image.value(), config);
+        hifi::service::decodeCheckpoint(image.value(), config, nullptr);
     ASSERT_FALSE(blind.ok());
     EXPECT_EQ(blind.error().code, ErrorCode::FailedPrecondition);
+
+    // Encoding has no tile-less fallback either.
+    auto unstored =
+        hifi::service::encodeCheckpoint(config, state, nullptr);
+    ASSERT_FALSE(unstored.ok());
+    EXPECT_EQ(unstored.error().code, ErrorCode::FailedPrecondition);
 }
 
 TEST(Checkpoint, MissingOrCorruptTilesSurfaceAsDataLoss)
@@ -543,7 +591,7 @@ TEST(Service, ChaosKillAtEveryBoundaryResumesBitIdentical)
 
     // The completed job removed its checkpoint.
     auto leftover = hifi::service::loadCheckpoint(
-        cfg.checkpointDir + "/job-chaos.ckpt", job);
+        cfg.checkpointDir + "/job-chaos.ckpt", job, memoryStore());
     EXPECT_FALSE(leftover.ok());
     EXPECT_EQ(leftover.error().code, ErrorCode::NotFound);
 }

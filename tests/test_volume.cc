@@ -21,7 +21,9 @@
 #include "common/rng.hh"
 #include "core/pipeline.hh"
 #include "core/stages.hh"
+#include "image/denoise.hh"
 #include "image/image2d.hh"
+#include "image/registration.hh"
 #include "image/tile_store.hh"
 #include "image/tiled_volume.hh"
 #include "image/volume3d.hh"
@@ -499,39 +501,32 @@ TEST(StreamingAcquire, MatchesCollectedAcquireBitwise)
         << "scene/faults no longer exercise the interpolation path";
 }
 
-TEST(StreamingAcquire, WindowingKeepsSolverLaneOccupancy)
-{
-    const auto vol = makeScene();
-    const auto params = sceneParams();
-    scope::FaultParams faults; // clean run: 60 slices
-    scope::RecoveryParams recovery;
-
-    std::vector<scope::SliceWindow> windows;
-    scope::SliceWindowing grouping(
-        scope::kStreamWindowSlices,
-        [&](scope::SliceWindow &&w) {
-            windows.push_back(std::move(w));
-        });
-    const auto stats = scope::acquireRobustStreamed(
-        vol, params, faults, recovery, 5, grouping.consumer());
-    grouping.flush();
-
-    ASSERT_EQ(stats.slices, 60u);
-    size_t covered = 0;
-    for (size_t i = 0; i < windows.size(); ++i) {
-        EXPECT_EQ(windows[i].begin, covered);
-        // Every window except the last is exactly one solver batch
-        // (circuit::TranParams::batchLanes) wide.
-        if (i + 1 < windows.size()) {
-            EXPECT_EQ(windows[i].slices.size(),
-                      scope::kStreamWindowSlices);
-        }
-        covered += windows[i].slices.size();
-    }
-    EXPECT_EQ(covered, 60u);
-}
-
 // ---- Streaming post-processing ---------------------------------------
+
+/// Dense reference of the post-processing chain: denoise every
+/// slice, align the whole stack with chained MI, assemble in core.
+struct DenseChain
+{
+    Volume3D volume;
+    std::vector<std::pair<long, long>> shifts;
+    double alignmentResidualPx = 0.0;
+};
+
+DenseChain
+denseChain(const image::SliceStack &stack,
+           const scope::PostprocessParams &pp)
+{
+    EXPECT_EQ(pp.algo, scope::DenoiseAlgo::Chambolle);
+    std::vector<Image2D> denoised;
+    for (const Image2D &slice : stack.slices)
+        denoised.push_back(image::denoiseChambolle(slice, pp.tv));
+    DenseChain out;
+    out.shifts = image::alignStack(denoised, pp.mi);
+    out.alignmentResidualPx =
+        image::alignmentResidual(out.shifts, stack.trueDrift);
+    out.volume = image::assembleVolume(denoised, out.shifts);
+    return out;
+}
 
 TEST(StreamingPostprocess, BitwiseIdenticalToDenseChain)
 {
@@ -541,26 +536,31 @@ TEST(StreamingPostprocess, BitwiseIdenticalToDenseChain)
         33);
     const scope::PostprocessParams pp;
 
-    const auto dense = scope::postprocess(robust.stack, pp);
+    const DenseChain dense = denseChain(robust.stack, pp);
 
     struct Case
     {
         size_t threads, tileEdge, window;
         size_t dirtyBudget;
+        bool spill; ///< disk tier vs memory-only store
     };
     const Case cases[] = {
-        {1, 16, 3, 0},
-        {2, 64, scope::kStreamWindowSlices, 0},
+        {1, 16, 3, 0, true},
+        // The in-RAM pipeline's shape: memory-only store, default
+        // tiles and window, unbounded dirty tiles.
+        {4, 64, scope::kStreamWindowSlices, 0, false},
+        {2, 64, scope::kStreamWindowSlices, 0, true},
         // Dirty budget of two tiles: assembly churns seal/reload.
-        {8, 16, 5, 2 * 16 * 16 * 16 * sizeof(float)},
+        {8, 16, 5, 2 * 16 * 16 * 16 * sizeof(float), true},
     };
     for (const Case &c : cases) {
         common::ScopedThreads threads(c.threads);
         TileStoreConfig cfg;
-        cfg.dir = scratchDir(
-            "pp_" + std::to_string(c.threads) + "_" +
-            std::to_string(c.tileEdge) + "_" +
-            std::to_string(c.window));
+        if (c.spill)
+            cfg.dir = scratchDir(
+                "pp_" + std::to_string(c.threads) + "_" +
+                std::to_string(c.tileEdge) + "_" +
+                std::to_string(c.window));
         TileStore store(std::move(cfg));
         auto streamed = scope::postprocessStreamed(
             robust.stack, store, pp, c.tileEdge, c.dirtyBudget,
@@ -573,7 +573,7 @@ TEST(StreamingPostprocess, BitwiseIdenticalToDenseChain)
         ASSERT_TRUE(back.ok());
         EXPECT_TRUE(bitwiseEqual(back.value(), dense.volume))
             << "threads=" << c.threads << " edge=" << c.tileEdge
-            << " window=" << c.window;
+            << " window=" << c.window << " spill=" << c.spill;
     }
 }
 
