@@ -64,6 +64,10 @@ busyClockNs()
 /// parallel calls from such a thread run serially to avoid deadlock.
 thread_local bool t_inside_pool = false;
 
+/// Thread count of this thread's innermost ScopedThreads (0 = none):
+/// a per-caller cap on the jobs it posts, never the pool's own size.
+thread_local size_t t_scoped_threads = 0;
+
 size_t
 defaultThreadCount()
 {
@@ -110,6 +114,11 @@ struct ThreadPool::Impl
         std::atomic<bool> abort{false};
         std::exception_ptr error; // guarded by the pool mutex
 
+        /// Pool workers this job may take (its thread count - 1) and
+        /// how many joined so far, both guarded by the pool mutex.
+        size_t admit = 0;
+        size_t admitted = 0;
+
         /// Telemetry session binding of the submitting thread,
         /// re-applied on every worker so spans/metrics produced by
         /// the fan-out are attributed to the submitting job.
@@ -123,11 +132,14 @@ struct ThreadPool::Impl
     std::shared_ptr<Job> job;       // nullptr when idle
     uint64_t generation = 0;        // bumped per posted job
     size_t threads = 1;             // configured count, >= 1
-    bool started = false;
     bool stopping = false;
 
-    /// Serializes concurrent run() callers (one job at a time).
+    /// Serializes concurrent run() callers (one job at a time) and
+    /// every change to the worker set.
     std::mutex gate;
+
+    /// Top-level run() calls in flight, serial or not.
+    std::atomic<size_t> callers{0};
 
     void
     work(Job &j)
@@ -181,20 +193,22 @@ struct ThreadPool::Impl
                 return;
             seen = generation;
             const std::shared_ptr<Job> j = job;
+            if (j->admitted == j->admit)
+                continue; // the job's thread count is reached
+            ++j->admitted;
             lock.unlock();
             work(*j);
             lock.lock();
         }
     }
 
+    /// Launch workers until `count` threads (workers plus the
+    /// caller) can serve one job.  Never shrinks; call with the gate
+    /// and the mutex held.
     void
-    start()
+    grow(size_t count)
     {
-        if (started || threads <= 1)
-            return;
-        started = true;
-        workers.reserve(threads - 1);
-        for (size_t i = 0; i + 1 < threads; ++i)
+        while (workers.size() + 1 < count)
             workers.emplace_back([this] { workerLoop(); });
     }
 
@@ -209,7 +223,6 @@ struct ThreadPool::Impl
         for (auto &w : workers)
             w.join();
         workers.clear();
-        started = false;
         stopping = false;
     }
 };
@@ -235,15 +248,20 @@ ThreadPool::~ThreadPool()
 size_t
 ThreadPool::numThreads() const
 {
+    if (t_scoped_threads != 0)
+        return t_scoped_threads;
+    std::lock_guard<std::mutex> lock(impl_->mutex);
     return impl_->threads;
 }
 
 void
 ThreadPool::resize(size_t threads)
 {
+    const size_t count = threads ? threads : defaultThreadCount();
     std::lock_guard<std::mutex> gate(impl_->gate);
     impl_->stop();
-    impl_->threads = threads ? threads : defaultThreadCount();
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    impl_->threads = count;
 }
 
 void
@@ -251,18 +269,36 @@ ThreadPool::run(size_t chunks, const std::function<void(size_t)> &body)
 {
     if (chunks == 0)
         return;
-    // Serial paths: tiny jobs, single-thread config, or a nested call
-    // from inside a worker (which would otherwise deadlock waiting on
-    // the pool it is running on).  Chunk order matches the cursor
-    // order of the parallel path, so outputs are identical.
+    // Every other caller in flight occupies one thread of this job's
+    // count, so concurrent callers never oversubscribe it.
+    struct InFlight
+    {
+        std::atomic<size_t> *callers;
+        ~InFlight()
+        {
+            if (callers)
+                --*callers;
+        }
+    } in_flight{t_inside_pool ? nullptr : &impl_->callers};
+    const size_t others =
+        in_flight.callers ? in_flight.callers->fetch_add(1) : 0;
+    const size_t threads = numThreads();
+    const size_t admit = threads > others + 1 ? threads - others - 1 : 0;
+
+    // Serial paths: tiny jobs, no worker to admit, a nested call from
+    // inside a worker (which would otherwise deadlock waiting on the
+    // pool it is running on), or a pool busy with another caller's job
+    // (waiting for it would idle this thread).  Chunk order matches the
+    // cursor order of the parallel path, so outputs are identical.
     const bool instrumented = telemetry::enabled();
     if (instrumented) {
         PoolMetrics &m = PoolMetrics::get();
         m.jobs.add(1);
         m.chunksPerJob.observe(static_cast<double>(chunks));
-        m.workers.set(static_cast<double>(impl_->threads));
+        m.workers.set(static_cast<double>(threads));
     }
-    if (chunks == 1 || t_inside_pool || impl_->threads <= 1) {
+    std::unique_lock<std::mutex> gate(impl_->gate, std::defer_lock);
+    if (chunks == 1 || t_inside_pool || admit == 0 || !gate.try_lock()) {
         const uint64_t t0 = instrumented ? busyClockNs() : 0;
         for (size_t i = 0; i < chunks; ++i)
             body(i);
@@ -274,14 +310,14 @@ ThreadPool::run(size_t chunks, const std::function<void(size_t)> &body)
         return;
     }
 
-    std::lock_guard<std::mutex> gate(impl_->gate);
     auto job = std::make_shared<Impl::Job>();
     job->body = &body;
     job->chunks = chunks;
+    job->admit = admit;
     job->telemetryBinding = telemetry::detail::currentSessionBinding();
     {
         std::lock_guard<std::mutex> lock(impl_->mutex);
-        impl_->start();
+        impl_->grow(threads);
         impl_->job = job;
         ++impl_->generation;
     }
@@ -316,15 +352,15 @@ ScopedThreads::ScopedThreads(size_t threads)
 {
     if (threads == 0)
         return;
-    previous_ = numThreads();
+    previous_ = t_scoped_threads;
     active_ = true;
-    setNumThreads(threads);
+    t_scoped_threads = threads;
 }
 
 ScopedThreads::~ScopedThreads()
 {
     if (active_)
-        setNumThreads(previous_);
+        t_scoped_threads = previous_;
 }
 
 void

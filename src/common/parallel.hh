@@ -20,11 +20,22 @@
  * chunk cursor hands out chunk indices, the calling thread
  * participates, and `threads == 1` (or a nested call from inside a
  * worker) degrades to plain serial execution of the same chunks in
- * the same order.
+ * the same order.  The pool runs one job at a time; a caller that
+ * finds it busy with another caller's job runs its own chunks inline
+ * rather than wait, and every other caller in flight takes one thread
+ * of a job's count, so concurrent callers (service workers, runner
+ * threads) never oversubscribe it.
  *
- * Thread-count selection, in priority order: ScopedThreads override >
- * setNumThreads() > the HIFI_THREADS environment variable >
- * std::thread::hardware_concurrency().
+ * Thread-count selection, in priority order: the calling thread's
+ * ScopedThreads override > setNumThreads() > the HIFI_THREADS
+ * environment variable > std::thread::hardware_concurrency().  A
+ * ScopedThreads count is a per-caller cap, not a pool setting: a job
+ * posted under ScopedThreads(k) admits at most k - 1 pool workers, so
+ * concurrent callers with different counts (service workers running
+ * jobs with different PipelineConfig::threads) never overwrite each
+ * other.  The pool launches more workers, under its job gate, only
+ * when a cap exceeds the ones it has; setNumThreads is the only writer
+ * of the global count.
  *
  * Instrumentation: while a telemetry session is active
  * (common/telemetry.hh) the pool records "pool.jobs", "pool.chunks",
@@ -72,18 +83,22 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /// Configured worker count (>= 1); 1 means fully serial.
+    /// The caller's effective thread count (>= 1): its innermost
+    /// ScopedThreads count, else the configured one.  1 means serial.
     size_t numThreads() const;
 
-    /// Stop the workers and relaunch with a new count (0 = auto).
+    /// Stop the workers and set the configured count (0 = auto);
+    /// workers relaunch on demand.
     void resize(size_t threads);
 
     /**
      * Execute body(chunk) for every chunk in [0, chunks), blocking
-     * until all chunks ran.  The calling thread participates.  The
-     * first exception thrown by any chunk is rethrown here (remaining
-     * unclaimed chunks are skipped).  Safe to call from inside a
-     * chunk body: nested calls run serially on the calling thread.
+     * until all chunks ran.  The calling thread participates, with at
+     * most numThreads() - 1 pool workers, one fewer per other caller
+     * in flight.  The first exception thrown by any chunk is rethrown
+     * here (remaining unclaimed chunks are skipped).  Safe to call from
+     * inside a chunk body, or while another thread's job holds the
+     * pool: such calls run serially on the calling thread.
      */
     void run(size_t chunks, const std::function<void(size_t)> &body);
 
@@ -95,10 +110,14 @@ class ThreadPool
 /// Configure the global pool (0 = auto from HIFI_THREADS / hardware).
 void setNumThreads(size_t threads);
 
-/// Current global worker count (>= 1).
+/// The calling thread's effective count on the global pool (>= 1).
 size_t numThreads();
 
-/** RAII thread-count override; `threads == 0` leaves the pool alone. */
+/**
+ * RAII thread-count override for the jobs the calling thread posts
+ * (other threads and the global count are unaffected); nestable, and
+ * `threads == 0` leaves the current count in force.
+ */
 class ScopedThreads
 {
   public:

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "common/parallel.hh"
 #include "common/simd.hh"
@@ -117,43 +118,22 @@ miAtShiftRef(const Image2D &a, const Image2D &b, const MiRanges &r,
     return mi;
 }
 
+/// Interleaved counters per joint cell: pixel x bumps word x % 4 of
+/// its cell (the scatter unrolls by four), so a run of equal bins
+/// (common on denoised frames) no longer serializes on one counter's
+/// store-to-load dependency.
+constexpr size_t kSubHists = 4;
+
 /// Reusable per-worker buffers for the quantized MI accumulation.
 struct MiWorkspace
 {
-    std::vector<uint32_t> joint;
-    std::vector<uint32_t> idx; ///< per-row joint indices (SIMD path)
+    std::vector<uint32_t> sub;   ///< kSubHists counters per joint cell
+    std::vector<uint32_t> joint; ///< summed joint counts
+    std::vector<uint32_t> idx;   ///< per-row joint indices (AVX2)
     std::vector<double> pa, pb;
 };
 
-/// SIMD bin-index math runs in epi32 lanes: gate at 4096 bins so
-/// ia * bins + ib stays far below 2^31 (4096^2 ~ 2^24).  Larger bin
-/// counts (rare; quantizePlane allows up to 65535) take the scalar
-/// loop, which uses size_t throughout.
-constexpr size_t kMiSimdMaxBins = 4096;
-
 #if HIFI_SIMD_AVX2_COMPILED
-
-/// idx[k] = ra[k] * bins + rb[k] over pre-quantized uint16 rows,
-/// eight pairs per step.  Pure integer arithmetic, so the indices are
-/// trivially identical to the scalar loop's.
-HIFI_AVX2_TARGET inline void
-jointIndicesAvx2(const uint16_t *ra, const uint16_t *rb, size_t count,
-                 uint32_t bins, uint32_t *out)
-{
-    const __m256i vbins = _mm256_set1_epi32(static_cast<int>(bins));
-    size_t k = 0;
-    for (; k + 8 <= count; k += 8) {
-        const __m256i ia = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(ra + k)));
-        const __m256i ib = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(rb + k)));
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_mullo_epi32(ia, vbins), ib);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + k), idx);
-    }
-    for (; k < count; ++k)
-        out[k] = static_cast<uint32_t>(ra[k]) * bins + rb[k];
-}
 
 /**
  * Vector form of quantize() for four floats: the float subtract /
@@ -200,21 +180,19 @@ quantIndicesAvx2(const float *pa, const float *pb, size_t count,
             _mm256_add_epi32(_mm256_mullo_epi32(ia, ibins), ib);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + k), idx);
     }
-    for (; k < count; ++k) {
+    for (; k < count; ++k)
         out[k] = static_cast<uint32_t>(
-                     quantize(pa[k], r.alo, r.ainv, bins)) * bins +
-            static_cast<uint32_t>(quantize(pb[k], r.blo, r.binv, bins));
-    }
+            quantize(pa[k], r.alo, r.ainv, bins) * bins +
+            quantize(pb[k], r.blo, r.binv, bins));
 }
 
 #endif // HIFI_SIMD_AVX2_COMPILED
 
 /**
- * Marginals + entropy sum over an integer joint histogram.  Shared by
- * every quantized path (pre-quantized planes and the fused one-shot)
- * so they cannot drift: the loop structure mirrors miAtShiftRef term
- * for term, and each uint32 count converts to the same double the
- * reference accumulated by repeated `+= 1.0`.
+ * Marginals + entropy sum over an integer joint histogram.  The loop
+ * structure mirrors miAtShiftRef term for term, and each uint32 count
+ * converts to the same double the reference accumulated by repeated
+ * `+= 1.0`.
  */
 double
 miFromJointCounts(MiWorkspace &ws, size_t bins, size_t n)
@@ -245,67 +223,98 @@ miFromJointCounts(MiWorkspace &ws, size_t bins, size_t n)
 }
 
 /**
- * Fast MI at a shift over pre-quantized planes.  The joint histogram
- * is accumulated as integers (each reference bin count is a double
- * incremented by 1.0, hence an exact integer), and the marginal / MI
- * arithmetic below mirrors the reference loop structure term for
- * term, so the returned score is bitwise identical to miAtShiftRef.
+ * The one joint-histogram scatter kernel, shared by the search and the
+ * fused one-shot so they cannot drift.  `rowIndex(y, x0, x1)` returns
+ * row y's `at(x)`: the first counter of pixel x's joint cell,
+ * `(ia * bins + ib) * kSubHists`, for x in [x0, x1).  The counters are
+ * summed into `ws.joint` as exact integers, so the counts — and via
+ * miFromJointCounts the score — are bitwise those of miAtShiftRef.
  */
+template <typename RowIndex>
 double
-miAtShiftQ(const QuantizedPlane &a, const QuantizedPlane &b, long dx,
-           long dy, MiWorkspace &ws)
+scatterMi(MiWorkspace &ws, size_t bins, long w, long h, long dx, long dy,
+          RowIndex &&rowIndex)
 {
-    const size_t bins = a.bins;
-    const long w = static_cast<long>(a.width);
-    const long h = static_cast<long>(a.height);
-
     const long x0 = std::max(0l, dx), x1 = std::min(w, w + dx);
     const long y0 = std::max(0l, dy), y1 = std::min(h, h + dy);
     if (x0 >= x1 || y0 >= y1)
         return 0.0;
 
-    ws.joint.assign(bins * bins, 0);
-    const size_t count = static_cast<size_t>(x1 - x0);
-#if HIFI_SIMD_AVX2_COMPILED
-    if (common::simd::avx2() && bins <= kMiSimdMaxBins) {
-        ws.idx.resize(count);
-        for (long y = y0; y < y1; ++y) {
-            const uint16_t *ra =
-                a.idx.data() + static_cast<size_t>(y) * a.width + x0;
-            const uint16_t *rb = b.idx.data() +
-                static_cast<size_t>(y - dy) * b.width + (x0 - dx);
-            jointIndicesAvx2(ra, rb, count,
-                             static_cast<uint32_t>(bins),
-                             ws.idx.data());
-            for (size_t k = 0; k < count; ++k)
-                ++ws.joint[ws.idx[k]];
+    // Zero between calls: the summing pass clears what the scatter wrote.
+    const size_t cells = bins * bins;
+    if (ws.sub.size() != cells * kSubHists)
+        ws.sub.assign(cells * kSubHists, 0);
+    uint32_t *sub = ws.sub.data();
+    for (long y = y0; y < y1; ++y) {
+        const auto at = rowIndex(y, x0, x1);
+        long x = x0;
+        for (; x + 4 <= x1; x += 4) {
+            ++sub[at(x)];
+            ++sub[at(x + 1) + 1];
+            ++sub[at(x + 2) + 2];
+            ++sub[at(x + 3) + 3];
         }
-    } else
-#endif
-    {
-        for (long y = y0; y < y1; ++y) {
-            const uint16_t *ra =
-                a.idx.data() + static_cast<size_t>(y) * a.width;
-            const uint16_t *rb =
-                b.idx.data() + static_cast<size_t>(y - dy) * b.width;
-            for (long x = x0; x < x1; ++x) {
-                ++ws.joint[static_cast<size_t>(ra[x]) * bins +
-                           rb[x - dx]];
-            }
-        }
+        for (size_t lane = 0; x < x1; ++x, ++lane)
+            ++sub[at(x) + lane];
+    }
+    ws.joint.resize(cells);
+    for (size_t c = 0; c < cells; ++c) {
+        uint32_t *s = sub + c * kSubHists;
+        ws.joint[c] = s[0] + s[1] + s[2] + s[3];
+        s[0] = s[1] = s[2] = s[3] = 0;
     }
     return miFromJointCounts(ws, bins,
-                             count * static_cast<size_t>(y1 - y0));
+                             static_cast<size_t>(x1 - x0) *
+                                 static_cast<size_t>(y1 - y0));
+}
+
+/**
+ * Both planes of a search as scatter offsets, built once and shared
+ * read-only by every candidate: a fixed pixel's bin times the joint
+ * row stride (bins * kSubHists) and a moving pixel's bin times
+ * kSubHists, so a pixel pair's first counter is one add away.
+ */
+struct MiPlanes
+{
+    MiPlanes(const QuantizedPlane &a, const QuantizedPlane &b)
+        : bins(a.bins), width(static_cast<long>(a.width)),
+          height(static_cast<long>(a.height)),
+          fixed(a.idx.begin(), a.idx.end()),
+          moving(b.idx.begin(), b.idx.end())
+    {
+        for (uint32_t &v : fixed)
+            v *= static_cast<uint32_t>(bins * kSubHists);
+        for (uint32_t &v : moving)
+            v *= static_cast<uint32_t>(kSubHists);
+    }
+    MiPlanes(const Image2D &a, const Image2D &b, size_t bins)
+        : MiPlanes(quantizePlane(a, bins), quantizePlane(b, bins)) {}
+
+    size_t bins;
+    long width, height;
+    std::vector<uint32_t> fixed, moving;
+};
+
+/// Fast MI at a shift over pre-quantized planes.
+double
+miAtShiftQ(const MiPlanes &p, long dx, long dy, MiWorkspace &ws)
+{
+    return scatterMi(ws, p.bins, p.width, p.height, dx, dy,
+                     [&](long y, long, long) {
+        const uint32_t *ra =
+            p.fixed.data() + static_cast<size_t>(y * p.width);
+        const uint32_t *rb =
+            p.moving.data() + static_cast<size_t>((y - dy) * p.width);
+        return [=](long x) { return size_t{ra[x]} + rb[x - dx]; };
+    });
 }
 
 /**
  * Fused one-shot MI: quantizes both images on the fly straight into
- * the integer joint histogram, skipping the QuantizedPlane
- * allocations entirely.  For a single evaluation (mutualInformation /
- * mutualInformationAtShift) the plane build costs more than it saves,
- * so this path undoes that regression; quantize() arithmetic is
- * shared, so the bin counts — and via miFromJointCounts the score —
- * are bitwise identical to the pre-quantized and reference paths.
+ * the scatter, skipping the QuantizedPlane allocations — for a single
+ * evaluation (mutualInformation / mutualInformationAtShift) the plane
+ * build costs more than it saves.  quantize() arithmetic is shared, so
+ * the score is bitwise that of the pre-quantized and reference paths.
  */
 double
 miOneShotQ(const Image2D &a, const Image2D &b, long dx, long dy,
@@ -314,45 +323,37 @@ miOneShotQ(const Image2D &a, const Image2D &b, long dx, long dy,
     const MiRanges r = miRanges(a, b);
     const long w = static_cast<long>(a.width());
     const long h = static_cast<long>(a.height());
-    const long x0 = std::max(0l, dx), x1 = std::min(w, w + dx);
-    const long y0 = std::max(0l, dy), y1 = std::min(h, h + dy);
-    if (x0 >= x1 || y0 >= y1)
-        return 0.0;
-
-    ws.joint.assign(bins * bins, 0);
-    const size_t count = static_cast<size_t>(x1 - x0);
 #if HIFI_SIMD_AVX2_COMPILED
-    if (common::simd::avx2() && bins <= kMiSimdMaxBins) {
-        ws.idx.resize(count);
-        for (long y = y0; y < y1; ++y) {
-            const float *pa = a.row(static_cast<size_t>(y)) + x0;
-            const float *pb =
-                b.row(static_cast<size_t>(y - dy)) + (x0 - dx);
-            quantIndicesAvx2(pa, pb, count, r,
-                             static_cast<uint32_t>(bins),
-                             ws.idx.data());
-            for (size_t k = 0; k < count; ++k)
-                ++ws.joint[ws.idx[k]];
-        }
-    } else
-#endif
-    {
-        for (long y = y0; y < y1; ++y) {
-            const float *pa = a.row(static_cast<size_t>(y));
-            const float *pb = b.row(static_cast<size_t>(y - dy));
-            for (long x = x0; x < x1; ++x) {
-                ++ws.joint[quantize(pa[x], r.alo, r.ainv, bins) * bins +
-                           quantize(pb[x - dx], r.blo, r.binv, bins)];
-            }
-        }
+    if (common::simd::avx2()) {
+        ws.idx.resize(a.width());
+        return scatterMi(ws, bins, w, h, dx, dy,
+                         [&](long y, long x0, long x1) {
+            quantIndicesAvx2(a.row(static_cast<size_t>(y)) + x0,
+                             b.row(static_cast<size_t>(y - dy)) +
+                                 (x0 - dx),
+                             static_cast<size_t>(x1 - x0), r,
+                             static_cast<uint32_t>(bins), ws.idx.data());
+            const uint32_t *idx = ws.idx.data();
+            return [=](long x) {
+                return size_t{idx[x - x0]} * kSubHists;
+            };
+        });
     }
-    return miFromJointCounts(ws, bins,
-                             count * static_cast<size_t>(y1 - y0));
+#endif
+    return scatterMi(ws, bins, w, h, dx, dy, [&](long y, long, long) {
+        const float *pa = a.row(static_cast<size_t>(y));
+        const float *pb = b.row(static_cast<size_t>(y - dy));
+        return [=, &r](long x) {
+            return (quantize(pa[x], r.alo, r.ainv, bins) * bins +
+                    quantize(pb[x - dx], r.blo, r.binv, bins)) *
+                kSubHists;
+        };
+    });
 }
 
 /// Score candidate shifts (dx, dy) in parallel over quantized planes.
 std::vector<double>
-scoreCandidates(const QuantizedPlane &qa, const QuantizedPlane &qb,
+scoreCandidates(const MiPlanes &planes,
                 const std::vector<std::pair<long, long>> &cands)
 {
     std::vector<double> score(cands.size());
@@ -360,7 +361,7 @@ scoreCandidates(const QuantizedPlane &qa, const QuantizedPlane &qb,
                         [&](size_t i0, size_t i1) {
         MiWorkspace ws;
         for (size_t i = i0; i < i1; ++i)
-            score[i] = miAtShiftQ(qa, qb, cands[i].first,
+            score[i] = miAtShiftQ(planes, cands[i].first,
                                   cands[i].second, ws);
     });
     return score;
@@ -461,12 +462,12 @@ registerShiftMiPyramid(const Image2D &fixed, const Image2D &moving,
     auto search = [&](size_t level, long cx, long cy, long radius) {
         const Image2D &f = levels[level].first;
         const Image2D &m = levels[level].second;
-        const QuantizedPlane qf = quantizePlane(f, params.bins);
-        const QuantizedPlane qm = quantizePlane(m, params.bins);
         const auto cands = windowCandidates(
             cx, cy, radius, levelShift(params.maxShift, level));
         evals += cands.size();
-        return pickBest(cands, scoreCandidates(qf, qm, cands));
+        return pickBest(cands,
+                        scoreCandidates(MiPlanes(f, m, params.bins),
+                                        cands));
     };
 
     // Exhaustive at the coarsest level, then refine downward.
@@ -486,16 +487,30 @@ registerShiftMiPyramid(const Image2D &fixed, const Image2D &moving,
     return best;
 }
 
+void
+checkShape(const Image2D &a, const Image2D &b, const char *who)
+{
+    if (a.width() != b.width() || a.height() != b.height())
+        throw std::invalid_argument(std::string(who) +
+                                    ": shape mismatch");
+}
+
+void
+checkBins(size_t bins, const char *who)
+{
+    if (bins < 2)
+        throw std::invalid_argument(std::string(who) + ": bins < 2");
+    if (bins > kMaxMiBins)
+        throw std::invalid_argument(std::string(who) +
+                                    ": bins above kMaxMiBins");
+}
+
 } // namespace
 
 QuantizedPlane
 quantizePlane(const Image2D &img, size_t bins)
 {
-    if (bins < 2)
-        throw std::invalid_argument("quantizePlane: bins < 2");
-    if (bins > 65535)
-        throw std::invalid_argument(
-            "quantizePlane: bins exceed uint16_t indices");
+    checkBins(bins, "quantizePlane");
     QuantizedPlane q;
     q.width = img.width();
     q.height = img.height();
@@ -513,44 +528,38 @@ quantizePlane(const Image2D &img, size_t bins)
 double
 mutualInformation(const Image2D &a, const Image2D &b, size_t bins)
 {
-    if (a.width() != b.width() || a.height() != b.height())
-        throw std::invalid_argument("mutualInformation: shape mismatch");
-    if (bins < 2)
-        throw std::invalid_argument("mutualInformation: bins < 2");
-    if (bins > 65535)
-        throw std::invalid_argument("mutualInformation: too many bins");
-    // One evaluation: the fused path skips the quantized-plane build.
-    MiWorkspace ws;
-    return miOneShotQ(a, b, 0, 0, bins, ws);
+    return mutualInformationAtShift(a, b, 0, 0, bins);
 }
 
 double
 mutualInformationAtShift(const Image2D &a, const Image2D &b, long dx,
                          long dy, size_t bins)
 {
-    if (a.width() != b.width() || a.height() != b.height())
-        throw std::invalid_argument(
-            "mutualInformationAtShift: shape mismatch");
-    if (bins < 2)
-        throw std::invalid_argument(
-            "mutualInformationAtShift: bins < 2");
-    if (bins > 65535)
-        throw std::invalid_argument(
-            "mutualInformationAtShift: too many bins");
+    checkShape(a, b, "mutualInformationAtShift");
+    checkBins(bins, "mutualInformationAtShift");
+    // One evaluation: the fused path skips the quantized-plane build.
     MiWorkspace ws;
     return miOneShotQ(a, b, dx, dy, bins, ws);
+}
+
+double
+mutualInformationAtShift(const QuantizedPlane &a, const QuantizedPlane &b,
+                         long dx, long dy)
+{
+    if (a.width != b.width || a.height != b.height || a.bins != b.bins)
+        throw std::invalid_argument(
+            "mutualInformationAtShift: plane mismatch");
+    checkBins(a.bins, "mutualInformationAtShift");
+    MiWorkspace ws;
+    return miAtShiftQ(MiPlanes(a, b), dx, dy, ws);
 }
 
 double
 mutualInformationAtShiftReference(const Image2D &a, const Image2D &b,
                                   long dx, long dy, size_t bins)
 {
-    if (a.width() != b.width() || a.height() != b.height())
-        throw std::invalid_argument(
-            "mutualInformationAtShiftReference: shape mismatch");
-    if (bins < 2)
-        throw std::invalid_argument(
-            "mutualInformationAtShiftReference: bins < 2");
+    checkShape(a, b, "mutualInformationAtShiftReference");
+    checkBins(bins, "mutualInformationAtShiftReference");
     return miAtShiftRef(a, b, miRanges(a, b), dx, dy, bins);
 }
 
@@ -558,21 +567,17 @@ std::pair<long, long>
 registerShiftMi(const Image2D &fixed, const Image2D &moving,
                 const MiParams &params)
 {
-    if (fixed.width() != moving.width() ||
-        fixed.height() != moving.height()) {
-        throw std::invalid_argument("registerShiftMi: shape mismatch");
-    }
+    checkShape(fixed, moving, "registerShiftMi");
     if (params.strategy == MiStrategy::Pyramid)
         return registerShiftMiPyramid(fixed, moving, params);
 
     // Quantize each image exactly once; every candidate offset is
     // independent, so score them all in parallel and pick the winner
     // with the serial tie-break scan.
-    const QuantizedPlane qf = quantizePlane(fixed, params.bins);
-    const QuantizedPlane qm = quantizePlane(moving, params.bins);
     const auto cands =
         windowCandidates(0, 0, params.maxShift, params.maxShift);
-    const std::vector<double> score = scoreCandidates(qf, qm, cands);
+    const std::vector<double> score =
+        scoreCandidates(MiPlanes(fixed, moving, params.bins), cands);
     if (telemetry::enabled())
         telemetry::registry().counter("mi.exhaustive.evals")
             .add(cands.size());
@@ -583,11 +588,7 @@ std::pair<long, long>
 registerShiftMiReference(const Image2D &fixed, const Image2D &moving,
                          const MiParams &params)
 {
-    if (fixed.width() != moving.width() ||
-        fixed.height() != moving.height()) {
-        throw std::invalid_argument(
-            "registerShiftMiReference: shape mismatch");
-    }
+    checkShape(fixed, moving, "registerShiftMiReference");
     const MiRanges ranges = miRanges(fixed, moving);
     const auto cands =
         windowCandidates(0, 0, params.maxShift, params.maxShift);
@@ -607,12 +608,11 @@ registerShiftMiSubpixel(const Image2D &fixed, const Image2D &moving,
                         const MiParams &params)
 {
     const auto best = registerShiftMi(fixed, moving, params);
-    const QuantizedPlane qf = quantizePlane(fixed, params.bins);
-    const QuantizedPlane qm = quantizePlane(moving, params.bins);
+    const MiPlanes planes(fixed, moving, params.bins);
     MiWorkspace ws;
 
     auto mi_at = [&](long dx, long dy) {
-        return miAtShiftQ(qf, qm, dx, dy, ws);
+        return miAtShiftQ(planes, dx, dy, ws);
     };
     auto refine = [&](double m_minus, double m_0, double m_plus) {
         const double denom = m_minus - 2.0 * m_0 + m_plus;

@@ -9,12 +9,23 @@
  * residual against ground truth in tests/benches.
  *
  * Fast path: both images are quantized into bin-index planes *once* per
- * registration, and every candidate offset accumulates an integer joint
- * histogram over those planes.  Bin assignment, counts, and the MI
- * arithmetic are exactly those of the straightforward per-candidate
- * re-quantization, so the scores — and therefore the recovered shifts —
- * are bitwise identical to the reference implementation (which is
- * retained below for the equivalence tests and bench baselines).
+ * registration, and every candidate offset scatters its pixel pairs
+ * into an integer joint histogram over those planes.  The scatter
+ * keeps four interleaved uint32 sub-histograms (pixel x bumps counter
+ * x % 4 of its cell), so runs of equal bins on denoised frames do not
+ * serialize on one counter; the four are summed once per candidate.
+ * The search's scatter is scalar over planes pre-scaled to counter
+ * offsets (an AVX2 joint-index kernel gave no consistent gain and was
+ * removed); the same scatter kernel serves the one-shot entry points,
+ * which quantize on the fly (with AVX2 where available).  Bin
+ * assignment, counts, and the MI arithmetic are exactly those of the
+ * straightforward per-candidate re-quantization, so the scores — and
+ * therefore the recovered shifts — are bitwise identical to the
+ * reference implementation (which is retained below for the
+ * equivalence tests and bench baselines).
+ *
+ * Every MI entry point rejects more than kMaxMiBins bins: the joint
+ * histogram holds 4 * bins^2 counters per candidate.
  */
 
 #ifndef HIFI_IMAGE_REGISTRATION_HH
@@ -31,6 +42,9 @@ namespace hifi
 {
 namespace image
 {
+
+/// Largest histogram bin count any MI entry point accepts.
+constexpr size_t kMaxMiBins = 256;
 
 /** Shift-search strategy for registerShiftMi / alignStack. */
 enum class MiStrategy
@@ -78,13 +92,16 @@ struct QuantizedPlane
 /**
  * Quantize an image into its bin-index plane using the image's own
  * intensity range — the identical bin assignment the reference MI
- * uses.  Throws for bins < 2 or bins > 65535 (uint16_t indices).
+ * uses.  Throws std::invalid_argument for bins outside
+ * [2, kMaxMiBins].
  */
 QuantizedPlane quantizePlane(const Image2D &img, size_t bins);
 
 /**
  * Mutual information (nats) between two images of identical shape,
  * computed from a joint histogram over the overlapping region.
+ * Throws std::invalid_argument for a shape mismatch or bins outside
+ * [2, kMaxMiBins].
  */
 double mutualInformation(const Image2D &a, const Image2D &b,
                          size_t bins = 32);
@@ -92,10 +109,20 @@ double mutualInformation(const Image2D &a, const Image2D &b,
 /**
  * MI over the overlap of `a` and `b` when b is conceptually translated
  * by (dx, dy) — the per-candidate score of the shift search, exposed
- * for the equivalence tests.  Fast quantized-plane path.
+ * for the equivalence tests.  Fused one-shot path; same argument
+ * checks as mutualInformation.
  */
 double mutualInformationAtShift(const Image2D &a, const Image2D &b,
                                 long dx, long dy, size_t bins = 32);
+
+/**
+ * The search's own per-candidate score over two pre-quantized planes
+ * of identical shape and bin count (what registerShiftMi evaluates for
+ * each offset), exposed for the equivalence tests.
+ */
+double mutualInformationAtShift(const QuantizedPlane &a,
+                                const QuantizedPlane &b, long dx,
+                                long dy);
 
 /**
  * Reference implementation of mutualInformationAtShift that

@@ -102,9 +102,10 @@ validate(const RecoveryParams &params)
                      "RecoveryParams: cleanCacheCapacity must be "
                      ">= 1"};
     const image::QcThresholds &qc = params.qc;
-    if (qc.miBins < 2)
+    if (qc.miBins < 2 || qc.miBins > image::kMaxMiBins)
         return Error{ErrorCode::InvalidArgument,
-                     "QcThresholds: miBins must be >= 2"};
+                     "QcThresholds: miBins must be in [2, " +
+                         std::to_string(image::kMaxMiBins) + "]"};
     if (qc.history < 1)
         return Error{ErrorCode::InvalidArgument,
                      "QcThresholds: history must be >= 1"};

@@ -13,9 +13,11 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "common/telemetry.hh"
+#include "core/pipeline.hh"
 #include "fab/defects.hh"
 #include "fab/mat.hh"
 #include "image/noise.hh"
+#include "image/registration.hh"
 #include "fab/sa_region.hh"
 #include "fab/voxelizer.hh"
 #include "scope/fib.hh"
@@ -385,6 +387,25 @@ TEST(Defects, ParamValidationAndTypedErrors)
 }
 
 // ---- scope ------------------------------------------------------------
+
+TEST(Fib, MiBinsAboveCapAreATypedError)
+{
+    // QC would zero-fill a bins^2 joint histogram per check: the cap
+    // rejects a 257-bin request up front instead of allocating it.
+    scope::RecoveryParams recovery;
+    recovery.qc.miBins = image::kMaxMiBins;
+    EXPECT_FALSE(scope::validate(recovery).has_value());
+    recovery.qc.miBins = image::kMaxMiBins + 1;
+    ASSERT_TRUE(scope::validate(recovery).has_value());
+    EXPECT_EQ(scope::validate(recovery)->code,
+              common::ErrorCode::InvalidArgument);
+
+    core::PipelineConfig config;
+    config.recovery.qc.miBins = image::kMaxMiBins + 1;
+    const auto err = core::validateConfig(config);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->code, common::ErrorCode::InvalidArgument);
+}
 
 TEST(Sem, ContrastDistinguishesMaterialsPerDetector)
 {

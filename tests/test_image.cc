@@ -10,8 +10,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <set>
 #include <string>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "common/telemetry.hh"
@@ -479,6 +482,105 @@ TEST(Registration, TelemetryCountsCandidateEvaluations)
     EXPECT_GE(counters.at("mi.pyramid.levels"), 2u);
 }
 
+/// Rows of constant runs (lengths 1-6): the equal-bin streaks of a
+/// denoised frame, which the interleaved counters must split exactly.
+Image2D
+runImage(size_t w, size_t h, uint64_t seed)
+{
+    Rng rng(seed);
+    Image2D img(w, h);
+    for (size_t y = 0; y < h; ++y) {
+        float v = 0.0f;
+        size_t left = 0;
+        for (size_t x = 0; x < w; ++x, --left) {
+            if (left == 0) {
+                v = static_cast<float>(rng.uniform());
+                left = 1 + static_cast<size_t>(rng.uniform() * 6.0);
+            }
+            img.at(x, y) = v;
+        }
+    }
+    return img;
+}
+
+/// Both MI kernels (the search's pre-quantized scatter and the fused
+/// one-shot) at every shift whose overlap is empty, one pixel wide, or
+/// general, bitwise against the reference.
+void
+expectKernelsMatchReference(const Image2D &a, const Image2D &b,
+                            size_t bins, const std::string &what)
+{
+    const long w = static_cast<long>(a.width());
+    const long h = static_cast<long>(a.height());
+    const auto qa = image::quantizePlane(a, bins);
+    const auto qb = image::quantizePlane(b, bins);
+    const std::set<long> dys{-h - 1, -h, 1 - h, -1, 0, 1, h - 1, h};
+    const std::set<long> dxs{-w - 1, -w, 1 - w, -1, 0, 1, w - 1, w};
+    for (const long dy : dys) {
+        for (const long dx : dxs) {
+            const std::string at = what + " bins " +
+                std::to_string(bins) + " shift (" + std::to_string(dx) +
+                "," + std::to_string(dy) + ")";
+            const double ref = image::mutualInformationAtShiftReference(
+                a, b, dx, dy, bins);
+            expectSameBits(image::mutualInformationAtShift(qa, qb, dx, dy),
+                           ref, at + " search kernel");
+            expectSameBits(
+                image::mutualInformationAtShift(a, b, dx, dy, bins), ref,
+                at + " one-shot");
+        }
+    }
+}
+
+TEST(Registration, ScatterKernelsMatchReferenceAcrossTailsAndOverlaps)
+{
+    // Widths 1-9 cover every tail of the four-pixel unroll; the shift
+    // set covers empty (|d| >= extent) and one-pixel overlaps.
+    for (const bool portable : {false, true}) {
+        std::optional<common::simd::ScopedForceScalar> off;
+        if (portable)
+            off.emplace();
+        const std::string path = portable ? "portable " : "dispatch ";
+        for (size_t w = 1; w <= 9; ++w) {
+            for (const size_t h : {1u, 4u, 9u}) {
+                const std::string shape = path + std::to_string(w) +
+                    "x" + std::to_string(h);
+                const Image2D a = runImage(w, h, 10 * w + h);
+                const Image2D b = runImage(w, h, 1000 + 10 * w + h);
+                const Image2D flat(w, h, 0.25f);
+                for (const size_t bins : {2u, 16u, 32u, 256u}) {
+                    // 256 bins zero 4 * 256^2 counters per candidate:
+                    // one row height keeps the sanitizer legs quick.
+                    if (bins == 256 && h != 1)
+                        continue;
+                    expectKernelsMatchReference(a, b, bins, shape);
+                    // Constant images: every pixel in one bin.
+                    expectKernelsMatchReference(flat, b, bins,
+                                                shape + " flat/runs");
+                    expectKernelsMatchReference(flat, flat, bins,
+                                                shape + " flat/flat");
+                }
+            }
+        }
+    }
+}
+
+TEST(Registration, BinCountAboveCapIsRejected)
+{
+    const Image2D a = noisyImage(8, 6, 3);
+    const Image2D b = noisyImage(8, 6, 4);
+    const size_t over = image::kMaxMiBins + 1;
+    EXPECT_NO_THROW(image::quantizePlane(a, image::kMaxMiBins));
+    EXPECT_THROW(image::quantizePlane(a, over), std::invalid_argument);
+    EXPECT_THROW(image::mutualInformation(a, b, over),
+                 std::invalid_argument);
+    EXPECT_THROW(image::mutualInformationAtShift(a, b, 1, 0, over),
+                 std::invalid_argument);
+    image::MiParams mp;
+    mp.bins = over;
+    EXPECT_THROW(image::registerShiftMi(a, b, mp), std::invalid_argument);
+}
+
 TEST(Denoise, TinyToleranceIsBitwiseIdenticalToFixedIterations)
 {
     Rng rng(41);
@@ -742,14 +844,22 @@ TEST(Simd, RegisterShiftMiAgreesWithReferenceOnBothPaths)
     for (size_t y = 0; y < 48; ++y)
         for (size_t x = 0; x < 64; ++x)
             moving.at(x, y) = fixed.at((x + 61) % 64, (y + 2) % 48);
-    image::MiParams mp;
-    mp.maxShift = 4;
-    mp.bins = 32;
-    const auto want = image::registerShiftMiReference(fixed, moving,
-                                                      mp);
-    EXPECT_EQ(image::registerShiftMi(fixed, moving, mp), want);
-    common::simd::ScopedForceScalar off;
-    EXPECT_EQ(image::registerShiftMi(fixed, moving, mp), want);
+    for (const size_t bins : {2u, 16u, 32u, 256u}) {
+        image::MiParams mp;
+        mp.maxShift = 4;
+        mp.bins = bins;
+        const auto want =
+            image::registerShiftMiReference(fixed, moving, mp);
+        for (const size_t threads : {1u, 4u}) {
+            const common::ScopedThreads scoped(threads);
+            EXPECT_EQ(image::registerShiftMi(fixed, moving, mp), want)
+                << "bins " << bins << " threads " << threads;
+            const common::simd::ScopedForceScalar off;
+            EXPECT_EQ(image::registerShiftMi(fixed, moving, mp), want)
+                << "bins " << bins << " threads " << threads
+                << " portable";
+        }
+    }
 }
 
 } // namespace

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "circuit/mismatch.hh"
@@ -212,6 +216,93 @@ TEST(ThreadPool, ConfigurationRoundTrip)
     common::setNumThreads(0); // back to auto
     EXPECT_GE(common::numThreads(), 1u);
     common::setNumThreads(before);
+}
+
+TEST(ThreadPool, ScopedCountCapsTheWorkersOfEachJob)
+{
+    // A job posted under ScopedThreads(k) runs on at most k threads
+    // (the caller plus k - 1 pool workers), even after a larger scope
+    // grew the pool, and the scope never changes the global count.
+    const size_t global = common::numThreads();
+    auto threadsUsed = [] {
+        std::mutex mutex;
+        std::set<std::thread::id> ids;
+        common::parallelFor(0, 64, 1, [&](size_t, size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            const std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+        });
+        return ids.size();
+    };
+    EXPECT_LE(withThreads(8, threadsUsed), 8u);
+    EXPECT_LE(withThreads(2, threadsUsed), 2u);
+    EXPECT_EQ(withThreads(1, threadsUsed), 1u);
+    EXPECT_EQ(common::numThreads(), global);
+}
+
+TEST(ThreadPool, CallerFindingThePoolBusyRunsInline)
+{
+    // While one caller's job holds the pool, a second caller's job
+    // runs every chunk on its own thread instead of waiting.
+    std::atomic<bool> holding{false}, release{false};
+    std::thread holder([&] {
+        const common::ScopedThreads scoped(4);
+        common::parallelFor(0, 8, 1, [&](size_t, size_t) {
+            holding = true;
+            while (!release)
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+        });
+    });
+    while (!holding)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+
+    std::set<std::thread::id> ids;
+    size_t sum = 0; // unsynchronized on purpose: serial by contract
+    {
+        const common::ScopedThreads scoped(4);
+        common::parallelFor(0, 100, 10, [&](size_t b, size_t e) {
+            ids.insert(std::this_thread::get_id());
+            for (size_t i = b; i < e; ++i)
+                sum += i;
+        });
+    }
+    release = true;
+    holder.join();
+    EXPECT_EQ(sum, 4950u);
+    EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(ThreadPool, ConcurrentScopesKeepTheirOwnCounts)
+{
+    // Two callers share the pool with different thread counts, as two
+    // service workers running jobs with different
+    // PipelineConfig::threads do: each sees its own count, and each
+    // output is bitwise the serial one.
+    const Image2D noisy = noisyPattern(64, 48);
+    const Image2D serial = withThreads(
+        1, [&] { return image::denoiseChambolle(noisy, {0.05, 30}); });
+    const size_t global = common::numThreads();
+
+    auto job = [&](size_t threads, size_t &seen, Image2D &out) {
+        const common::ScopedThreads scoped(threads);
+        seen = common::numThreads();
+        for (int round = 0; round < 4; ++round) {
+            out = image::denoiseChambolle(noisy, {0.05, 30});
+            if (common::numThreads() != threads)
+                seen = 0;
+        }
+    };
+    size_t seen2 = 0, seen3 = 0;
+    Image2D out2, out3;
+    std::thread a([&] { job(2, seen2, out2); });
+    std::thread b([&] { job(3, seen3, out3); });
+    a.join();
+    b.join();
+    EXPECT_EQ(seen2, 2u);
+    EXPECT_EQ(seen3, 3u);
+    EXPECT_TRUE(bitwiseEqual(out2, serial));
+    EXPECT_TRUE(bitwiseEqual(out3, serial));
+    EXPECT_EQ(common::numThreads(), global);
 }
 
 TEST(ThreadPool, ReduceIsBitwiseStableAcrossThreadCounts)
