@@ -19,6 +19,7 @@
  * a ulimit -v address-space ceiling).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #if defined(__GLIBC__)
@@ -139,11 +140,18 @@ runTiled(const Dims &d, const std::string &dir, size_t storeBudget,
     }
     image::TiledVolume3D vol = made.takeValue();
 
+    // Windows of slices, as the post-processing chain writes them
+    // (scope::kStreamWindowSlices).
+    constexpr size_t kWindow = 8;
     auto t0 = std::chrono::steady_clock::now();
-    for (size_t x = 0; x < d.nx; ++x) {
-        const auto err = vol.setCrossSection(x, makeSlice(x, d));
+    std::vector<image::Image2D> window;
+    for (size_t x0 = 0; x0 < d.nx; x0 += kWindow) {
+        window.clear();
+        for (size_t x = x0; x < std::min(d.nx, x0 + kWindow); ++x)
+            window.push_back(makeSlice(x, d));
+        const auto err = vol.setCrossSections(x0, window);
         if (err) {
-            check(false, "setCrossSection: " + err->message);
+            check(false, "setCrossSections: " + err->message);
             return leg;
         }
     }

@@ -64,6 +64,23 @@ busyClockNs()
 /// parallel calls from such a thread run serially to avoid deadlock.
 thread_local bool t_inside_pool = false;
 
+/// True while this thread's time is being counted into
+/// pool.worker_busy_ns: it is running chunks of some job, pooled or
+/// serial.  A fan-out nested in such a chunk is already inside that
+/// interval and must not count its time again.
+thread_local bool t_busy_counted = false;
+
+/// Marks the calling thread's time as counted for its lifetime;
+/// `nested` tells whether an enclosing interval already counts it.
+struct BusyInterval
+{
+    const bool nested = t_busy_counted;
+    BusyInterval() { t_busy_counted = true; }
+    ~BusyInterval() { t_busy_counted = nested; }
+    BusyInterval(const BusyInterval &) = delete;
+    BusyInterval &operator=(const BusyInterval &) = delete;
+};
+
 /// Thread count of this thread's innermost ScopedThreads (0 = none):
 /// a per-caller cap on the jobs it posts, never the pool's own size.
 thread_local size_t t_scoped_threads = 0;
@@ -150,6 +167,7 @@ struct ThreadPool::Impl
         const uint64_t t0 = instrumented ? busyClockNs() : 0;
         size_t executed = 0;
 
+        const BusyInterval busy;
         t_inside_pool = true;
         for (;;) {
             const size_t i = j.next.fetch_add(1);
@@ -176,7 +194,8 @@ struct ThreadPool::Impl
         if (instrumented && executed > 0) {
             PoolMetrics &m = PoolMetrics::get();
             m.chunks.add(executed);
-            m.busyNs.add(busyClockNs() - t0);
+            if (!busy.nested)
+                m.busyNs.add(busyClockNs() - t0);
         }
     }
 
@@ -300,12 +319,17 @@ ThreadPool::run(size_t chunks, const std::function<void(size_t)> &body)
     std::unique_lock<std::mutex> gate(impl_->gate, std::defer_lock);
     if (chunks == 1 || t_inside_pool || admit == 0 || !gate.try_lock()) {
         const uint64_t t0 = instrumented ? busyClockNs() : 0;
+        const BusyInterval busy;
         for (size_t i = 0; i < chunks; ++i)
             body(i);
         if (instrumented) {
             PoolMetrics &m = PoolMetrics::get();
             m.chunks.add(chunks);
-            m.busyNs.add(busyClockNs() - t0);
+            // A nested call runs inside a chunk whose busy time the
+            // enclosing job already counts; adding it again would
+            // push pool.utilization past 1.
+            if (!busy.nested)
+                m.busyNs.add(busyClockNs() - t0);
         }
         return;
     }

@@ -40,9 +40,12 @@
  * Instrumentation: while a telemetry session is active
  * (common/telemetry.hh) the pool records "pool.jobs", "pool.chunks",
  * "pool.worker_busy_ns", the "pool.chunks_per_job" histogram and the
- * "pool.workers" gauge.  Collection is purely observational — it
- * never alters partitioning or scheduling, so outputs stay bitwise
- * identical with telemetry on or off (asserted in test_parallel).
+ * "pool.workers" gauge.  Busy time is the time threads spend running
+ * chunks; a fan-out nested inside a chunk is counted once, by the
+ * enclosing chunk, so busy time never exceeds wall time x threads.
+ * Collection is purely observational — it never alters partitioning
+ * or scheduling, so outputs stay bitwise identical with telemetry on
+ * or off (asserted in test_parallel).
  */
 
 #ifndef HIFI_COMMON_PARALLEL_HH

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace hifi
@@ -120,15 +121,57 @@ Image2D::psnr(const Image2D &other) const
     return 10.0 * std::log10(1.0 / e);
 }
 
+namespace
+{
+
+/**
+ * In place over `count` consecutive elements of `len` floats: element
+ * i becomes the old element clamp(i - d, 0, count - 1).  The kept
+ * elements move as one memmove; the vacated ones replicate the edge
+ * element, which after the move sits next to them.
+ */
+void
+shiftElements(float *base, size_t count, size_t len, long d)
+{
+    if (d == 0 || count == 0)
+        return;
+    const size_t k = std::min(
+        count, static_cast<size_t>(d > 0 ? d : -d));
+    const size_t keep = count - k;
+    size_t fill_begin = 0, fill_end = k;
+    size_t src = keep ? k : 0; // the old element 0
+    if (d > 0) {
+        std::memmove(base + k * len, base, keep * len * sizeof(float));
+    } else {
+        std::memmove(base, base + k * len, keep * len * sizeof(float));
+        fill_begin = keep;
+        fill_end = count;
+        src = keep ? keep - 1 : count - 1; // the old last element
+    }
+    for (size_t i = fill_begin; i < fill_end; ++i)
+        if (i != src)
+            std::copy_n(base + src * len, len, base + i * len);
+}
+
+} // namespace
+
 Image2D
 Image2D::shifted(long dx, long dy) const
 {
-    Image2D out(width_, height_);
-    for (size_t y = 0; y < height_; ++y)
-        for (size_t x = 0; x < width_; ++x)
-            out.at(x, y) = clampedAt(static_cast<long>(x) - dx,
-                                     static_cast<long>(y) - dy);
+    Image2D out = *this;
+    out.shiftInPlace(dx, dy);
     return out;
+}
+
+void
+Image2D::shiftInPlace(long dx, long dy)
+{
+    // The shift is separable: out(x, y) = in(cx(x), cy(y)).  Shift
+    // each row along x, then the rows along y.
+    if (dx != 0)
+        for (size_t y = 0; y < height_; ++y)
+            shiftElements(row(y), width_, 1, dx);
+    shiftElements(data_.data(), height_, width_, dy);
 }
 
 Image2D

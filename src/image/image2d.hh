@@ -67,6 +67,10 @@ class Image2D
     /// Image translated by integer (dx, dy); edge pixels replicate.
     Image2D shifted(long dx, long dy) const;
 
+    /// shifted(dx, dy) in place, without a second frame: pixel (x, y)
+    /// becomes the old clampedAt(x - dx, y - dy), bit for bit.
+    void shiftInPlace(long dx, long dy);
+
     /// Sub-image [x0,x1) x [y0,y1); throws on bad bounds.
     Image2D crop(size_t x0, size_t y0, size_t x1, size_t y1) const;
 

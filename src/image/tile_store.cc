@@ -22,14 +22,42 @@ constexpr uint64_t kTileMagic = 0x48494649544c3154ull; // "HIFITL1T"
 /// renamed to the wrong digest is caught as DataLoss, not served.
 constexpr size_t kTileHeaderBytes = 3 * sizeof(uint64_t);
 
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+/// P^8 mod 2^64.  A zero byte leaves `h ^= 0` a no-op, so eight of
+/// them amount to one `h *= P^8`.
+constexpr uint64_t kFnvPrime8 = [] {
+    uint64_t p = 1;
+    for (int i = 0; i < 8; ++i)
+        p *= kFnvPrime;
+    return p;
+}();
+
+/// Byte-wise FNV-1a.  All-zero 8-byte words (the zero padding of
+/// border tiles, empty space in the volume) take the exact P^8
+/// multiply instead of eight byte steps.
 uint64_t
 fnvBytes(const void *data, size_t n)
 {
     const auto *p = static_cast<const unsigned char *>(data);
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
+    uint64_t h = kFnvOffset;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t word = 0;
+        std::memcpy(&word, p + i, sizeof(word));
+        if (word == 0) {
+            h *= kFnvPrime8;
+            continue;
+        }
+        for (size_t b = i; b < i + 8; ++b) {
+            h ^= p[b];
+            h *= kFnvPrime;
+        }
+    }
+    for (; i < n; ++i) {
         h ^= p[i];
-        h *= 1099511628211ull;
+        h *= kFnvPrime;
     }
     return h;
 }
@@ -123,8 +151,14 @@ TileStore::evictUntilLocked(size_t wantedBytes)
 common::Result<uint64_t>
 TileStore::put(std::vector<float> data)
 {
-    using R = common::Result<uint64_t>;
     const uint64_t digest = digestOf(data);
+    return putDigested(data, digest);
+}
+
+common::Result<uint64_t>
+TileStore::putDigested(std::vector<float> &data, uint64_t digest)
+{
+    using R = common::Result<uint64_t>;
     const size_t bytes = data.size() * sizeof(float);
 
     std::unique_lock<std::mutex> lk(mu_);
@@ -189,6 +223,16 @@ TileStore::put(std::vector<float> data)
         return R(uint64_t(digest));
     }
 
+    // A memory-only store cannot evict (the tile would have no other
+    // copy), so a tile its budget cannot admit is refused rather than
+    // silently exceeding the bound.
+    if (cfg_.dir.empty() && cfg_.budgetBytes != 0 &&
+        residentBytes_ + bytes > cfg_.budgetBytes)
+        return R::failure(
+            common::ErrorCode::ResourceExhausted,
+            "TileStore::put: resident budget exhausted and no spill "
+            "directory to evict to");
+
     Entry e;
     e.data = std::make_shared<const std::vector<float>>(
         std::move(data));
@@ -198,19 +242,7 @@ TileStore::put(std::vector<float> data)
     e.inLru = true;
     resident_.emplace(digest, std::move(e));
     residentBytes_ += bytes;
-
-    if (!evictUntilLocked(0) && cfg_.dir.empty()) {
-        // Memory-only store over budget: roll the insert back rather
-        // than silently exceeding the bound.
-        auto self = resident_.find(digest);
-        lru_.erase(self->second.lruIt);
-        residentBytes_ -= self->second.bytes;
-        resident_.erase(self);
-        return R::failure(
-            common::ErrorCode::ResourceExhausted,
-            "TileStore::put: resident budget exhausted and no spill "
-            "directory to evict to");
-    }
+    evictUntilLocked(0);
     return R(uint64_t(digest));
 }
 

@@ -44,6 +44,7 @@ namespace image
 {
 
 class TileStore;
+class TiledVolume3D;
 
 /**
  * Shared handle to a resident tile.  While any TileRef to a digest is
@@ -147,13 +148,25 @@ class TileStore
 
     TileStoreStats stats() const;
 
-    /// Digest used for tile content addressing (FNV-1a over bytes).
+    /// Digest used for tile content addressing: FNV-1a over the
+    /// payload bytes, bit for bit (zero words take an exact fast
+    /// path, so tile files and checkpoints never change).
     static uint64_t digestOf(const std::vector<float> &data);
 
   private:
     friend class TileRef; ///< TileRef::Pin returns pins on destruction
 
+    /// TiledVolume3D::sealAll hashes its dirty tiles in parallel and
+    /// inserts them serially with the digests it computed.
+    friend class TiledVolume3D;
+
     struct Entry;
+
+    /// put() with `digest` == digestOf(data) already computed.
+    /// Takes `data` only when it stores it; on failure the caller
+    /// keeps its buffer.
+    common::Result<uint64_t> putDigested(std::vector<float> &data,
+                                         uint64_t digest);
 
     std::string pathFor(uint64_t digest) const;
     bool evictUntilLocked(size_t wantedBytes);

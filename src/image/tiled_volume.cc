@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/parallel.hh"
+
 namespace hifi
 {
 namespace image
@@ -189,10 +191,12 @@ TiledVolume3D::touchDirty(size_t slot)
 }
 
 std::optional<common::Error>
-TiledVolume3D::sealSlot(size_t slot)
+TiledVolume3D::sealSlot(size_t slot, uint64_t digest)
 {
     Slot &s = slots_[slot];
-    auto put = store_->put(std::move(*s.dirty));
+    // On failure the buffer stays with the slot, still Dirty, so the
+    // volume's content survives a refused seal.
+    auto put = store_->putDigested(*s.dirty, digest);
     if (!put.ok())
         return put.error();
     s.dirty.reset();
@@ -209,50 +213,82 @@ TiledVolume3D::enforceDirtyBudget()
     if (dirtyBudgetBytes_ == 0)
         return std::nullopt;
     while (dirtyBytes_ > dirtyBudgetBytes_ && !dirtyLru_.empty()) {
-        if (const auto err = sealSlot(dirtyLru_.back()))
+        const size_t slot = dirtyLru_.back();
+        if (const auto err = sealSlot(
+                slot, TileStore::digestOf(*slots_[slot].dirty)))
             return err;
     }
     return std::nullopt;
 }
 
 std::optional<common::Error>
-TiledVolume3D::setCrossSection(size_t x, const Image2D &img)
+TiledVolume3D::setCrossSections(
+    size_t x0, std::span<const Image2D> images,
+    std::span<const std::pair<long, long>> shifts)
 {
-    if (store_ == nullptr || x >= nx_ || img.width() != ny_ ||
-        img.height() != nz_)
+    const size_t n = images.size();
+    bool valid = store_ != nullptr && x0 <= nx_ && n <= nx_ - x0 &&
+        (shifts.empty() || shifts.size() == n);
+    for (const Image2D &img : images)
+        valid = valid && img.width() == ny_ && img.height() == nz_;
+    if (!valid)
         return common::Error{
             common::ErrorCode::InvalidArgument,
-            "TiledVolume3D::setCrossSection: x=" + std::to_string(x) +
-                " shape " + std::to_string(img.width()) + "x" +
-                std::to_string(img.height()) + " into " +
+            "TiledVolume3D::setCrossSections: " + std::to_string(n) +
+                " slices at x=" + std::to_string(x0) + " (" +
+                std::to_string(shifts.size()) + " shifts) into " +
                 std::to_string(nx_) + "x" + std::to_string(ny_) +
                 "x" + std::to_string(nz_)};
 
-    const size_t tx = x / edge_;
-    const size_t lx = x % edge_;
-    for (size_t tz = 0; tz < tz_; ++tz)
-        for (size_t ty = 0; ty < ty_; ++ty) {
-            auto buf = tileMutable(slotIndex(tx, ty, tz));
-            if (!buf.ok())
-                return buf.error();
-            float *t = buf.value()->data();
-            const size_t y0 = ty * edge_;
-            const size_t z0 = tz * edge_;
-            const size_t y1 = std::min(y0 + edge_, ny_);
-            const size_t z1 = std::min(z0 + edge_, nz_);
-            for (size_t z = z0; z < z1; ++z)
-                for (size_t y = y0; y < y1; ++y)
-                    t[((z - z0) * edge_ + (y - y0)) * edge_ + lx] =
-                        img.at(y, z);
-            // Enforce per tile, not per slice: at a tile-layer
-            // transition the whole previous layer is still dirty, so
-            // deferring to the end of the slice would let the dirty
-            // set peak at two full layers before any sealing.  The
-            // tiles just written are at the LRU front, so the seals
-            // always take the coldest (previous-layer) buffers.
-            if (const auto err = enforceDirtyBudget())
-                return err;
-        }
+    // Tile-major: the window splits at tile boundaries in x, and each
+    // touched tile is unsealed once and receives one contiguous run
+    // of x per (y, z) row, read from every slice through its shift.
+    // Per z the tile's (y, x) plane stays in cache while each slice
+    // fills its column of the runs from one clamped source row.
+    const long ymax = static_cast<long>(ny_) - 1;
+    const long zmax = static_cast<long>(nz_) - 1;
+    for (size_t xa = x0; xa < x0 + n;) {
+        const size_t tx = xa / edge_;
+        const size_t xb = std::min(x0 + n, (tx + 1) * edge_);
+        const size_t lx = xa % edge_;
+        for (size_t tz = 0; tz < tz_; ++tz)
+            for (size_t ty = 0; ty < ty_; ++ty) {
+                auto buf = tileMutable(slotIndex(tx, ty, tz));
+                if (!buf.ok())
+                    return buf.error();
+                float *t = buf.value()->data();
+                const size_t y0 = ty * edge_;
+                const size_t z0 = tz * edge_;
+                const size_t y1 = std::min(y0 + edge_, ny_);
+                const size_t z1 = std::min(z0 + edge_, nz_);
+                for (size_t z = z0; z < z1; ++z)
+                    for (size_t x = xa; x < xb; ++x) {
+                        const size_t i = x - x0;
+                        const auto [dy, dz] = shifts.empty()
+                            ? std::pair<long, long>{0, 0}
+                            : shifts[i];
+                        const float *src = images[i].row(
+                            static_cast<size_t>(std::clamp(
+                                static_cast<long>(z) - dz, 0l, zmax)));
+                        float *col = t + (z - z0) * edge_ * edge_ +
+                            lx + (x - xa);
+                        for (size_t y = y0; y < y1; ++y)
+                            col[(y - y0) * edge_] =
+                                src[std::clamp(static_cast<long>(y) - dy,
+                                               0l, ymax)];
+                    }
+                // Enforce per tile, not per window: at a tile-layer
+                // transition the whole previous layer is still dirty,
+                // so deferring to the end of the window would let the
+                // dirty set peak at two full layers before any
+                // sealing.  The tile just written is at the LRU
+                // front, so the seals always take the coldest
+                // (previous-layer) buffers.
+                if (const auto err = enforceDirtyBudget())
+                    return err;
+            }
+        xa = xb;
+    }
     return std::nullopt;
 }
 
@@ -431,14 +467,22 @@ TiledVolume3D::sealAll()
     if (store_ == nullptr)
         return common::Error{common::ErrorCode::FailedPrecondition,
                              "TiledVolume3D::sealAll: empty volume"};
-    // Deterministic slot order, not LRU order, so the digest list is
-    // a pure function of the content.
-    for (size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].state != SlotState::Dirty)
-            continue;
-        if (const auto err = sealSlot(i))
+    // The digests are pure functions of the tile bytes, so they are
+    // computed in parallel; the store inserts then run serially in
+    // slot order, which keeps the store's LRU state, its budget
+    // refusals and the first failing slot those of a serial seal.
+    std::vector<size_t> dirty;
+    for (size_t i = 0; i < slots_.size(); ++i)
+        if (slots_[i].state == SlotState::Dirty)
+            dirty.push_back(i);
+    std::vector<uint64_t> digest(dirty.size());
+    common::parallelFor(0, dirty.size(), 1, [&](size_t b, size_t e) {
+        for (size_t k = b; k < e; ++k)
+            digest[k] = TileStore::digestOf(*slots_[dirty[k]].dirty);
+    });
+    for (size_t k = 0; k < dirty.size(); ++k)
+        if (const auto err = sealSlot(dirty[k], digest[k]))
             return err;
-    }
     return std::nullopt;
 }
 

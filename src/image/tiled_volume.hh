@@ -5,9 +5,9 @@
  * logical volume — bounds peak memory.
  *
  * The volume mirrors image::Volume3D's reslicing API (crossSection /
- * planarView / planarSlab / setCrossSection) with the same axis
- * convention and, critically, the same per-pixel arithmetic order:
- * every accessor visits voxels in strictly increasing z (then y/x)
+ * planarView / planarSlab, and setCrossSections as a windowed
+ * setCrossSection) with the same axis convention and, critically,
+ * the same per-pixel arithmetic order: every accessor visits voxels in strictly increasing z (then y/x)
  * exactly like the dense loops, so a tiled read is bitwise identical
  * to the dense one at any tile size, budget and thread count
  * (asserted by tests/test_volume.cc).
@@ -27,6 +27,8 @@
 
 #include <list>
 #include <optional>
+#include <span>
+#include <utility>
 
 #include "image/tile_store.hh"
 #include "image/volume3d.hh"
@@ -96,17 +98,28 @@ class TiledVolume3D
 
     // ---- Writes ---------------------------------------------------
 
-    /// Insert a (Y, Z) cross-section at X, unsealing the touched tile
-    /// column and sealing cold tiles beyond the dirty budget.
-    std::optional<common::Error> setCrossSection(size_t x,
-                                                 const Image2D &img);
+    /**
+     * Write a window of (Y, Z) cross-sections at X = x0, x0 + 1, ...
+     * Slice i is written as images[i].shifted(shifts[i]) without
+     * materializing the shifted copy (empty `shifts` = no shift):
+     * voxel (x0 + i, y, z) = images[i].clampedAt(y - dx, z - dy).
+     * The window is written tile-major, so each touched tile is
+     * unsealed once per window; cold tiles beyond the dirty budget
+     * are sealed after every tile.  Typed InvalidArgument on a window
+     * outside the volume, a slice of the wrong shape, or a shift list
+     * of the wrong length; store failures pass through.
+     */
+    std::optional<common::Error> setCrossSections(
+        size_t x0, std::span<const Image2D> images,
+        std::span<const std::pair<long, long>> shifts = {});
 
     // ---- Sealing / identity ---------------------------------------
 
     /**
-     * Spill every dirty tile into the store (deterministic slot
-     * order) and drop the write buffers; zero slots are sealed as the
-     * shared all-zero tile.  Afterwards the volume owns no voxel
+     * Spill every dirty tile into the store (digests computed in
+     * parallel, inserts in deterministic slot order) and drop the
+     * write buffers; zero slots are sealed as the shared all-zero
+     * tile.  Afterwards the volume owns no voxel
      * memory and digests() identifies its full content.
      */
     std::optional<common::Error> sealAll();
@@ -159,7 +172,8 @@ class TiledVolume3D
     /// Writable buffer for one tile, unsealing if needed.
     common::Result<std::vector<float> *> tileMutable(size_t slot);
 
-    std::optional<common::Error> sealSlot(size_t slot);
+    /// Seal one dirty slot; `digest` is TileStore::digestOf(buffer).
+    std::optional<common::Error> sealSlot(size_t slot, uint64_t digest);
     std::optional<common::Error> enforceDirtyBudget();
     void touchDirty(size_t slot);
 

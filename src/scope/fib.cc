@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "common/parallel.hh"
 #include "common/telemetry.hh"
 #include "image/noise.hh"
 #include "image/registration.hh"
@@ -226,6 +227,11 @@ acquire(const image::Volume3D &materials, const FibSemParams &params,
     image::SliceStack stack;
     stack.sliceThicknessNm = 0.0; // caller-level metadata; see below
 
+    // Serial pre-pass over the caller's generator: each slice's drift
+    // steps, then its frame seed, in the order a one-frame-at-a-time
+    // loop draws them, so the stack and the generator's final state
+    // do not depend on how the frames are rendered below.
+    std::vector<uint64_t> frame_seeds;
     long drift_y = 0, drift_z = 0;
     for (size_t x = 0; x + params.sliceVoxels <= materials.nx();
          x += params.sliceVoxels) {
@@ -235,12 +241,32 @@ acquire(const image::Volume3D &materials, const FibSemParams &params,
             drift_z = driftStep(drift_z, params.driftProbability,
                                 params.maxDriftPx, rng);
         }
-        const telemetry::Span frame_span("scope.sem_image");
-        image::Image2D img =
-            semImage(materials, x, params.sliceVoxels, params.sem, rng);
-        stack.slices.push_back(img.shifted(drift_y, drift_z));
         stack.trueDrift.emplace_back(drift_y, drift_z);
+        frame_seeds.push_back(rng.next());
     }
+
+    // Frames are allocated here, on the calling thread, and filled in
+    // place slice-parallel: each one is a pure function of its mill
+    // position, seed and drift.  The kernels' own row fan-outs run
+    // serially inside a slice chunk.
+    const size_t n = frame_seeds.size();
+    stack.slices.reserve(n);
+    for (size_t s = 0; s < n; ++s)
+        stack.slices.emplace_back(materials.ny(), materials.nz());
+    const double electrons =
+        params.sem.electronsPerUs * params.sem.dwellUs;
+    common::parallelFor(0, n, 1, [&](size_t s0, size_t s1) {
+        for (size_t s = s0; s < s1; ++s) {
+            const telemetry::Span frame_span("scope.sem_image");
+            image::Image2D &frame = stack.slices[s];
+            semImageCleanInto(materials, s * params.sliceVoxels,
+                              params.sliceVoxels, params.sem, frame);
+            image::addSensorNoise(frame, electrons,
+                                  params.sem.readNoise, frame_seeds[s]);
+            frame.shiftInPlace(stack.trueDrift[s].first,
+                               stack.trueDrift[s].second);
+        }
+    });
     return stack;
 }
 

@@ -52,6 +52,11 @@ std::optional<common::Error> validate(const FibSemParams &params);
  * cross section at x = i * sliceVoxels, drifted by the accumulated
  * stage drift and corrupted by SEM noise.  The ground-truth drifts
  * are recorded in the returned stack for validation.
+ *
+ * `rng` is drawn serially, per slice the drift steps and then one
+ * frame seed, so the stack and the generator's state afterwards are
+ * those of a sequential semImage loop; the frames themselves render
+ * slice-parallel and are bitwise identical at any thread count.
  */
 image::SliceStack acquire(const image::Volume3D &materials,
                           const FibSemParams &params,

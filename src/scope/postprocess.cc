@@ -90,16 +90,17 @@ postprocessStreamed(const image::SliceStack &stack,
             }
         }
 
-        // 3. Write the corrected slices into the tiled volume.
+        // 3. Write the window into the tiled volume, each slice read
+        //    through its correcting shift.
         {
             const telemetry::Span assemble_span("image.assemble");
-            for (size_t i = 0; i < count; ++i) {
-                const auto &shift = result.shifts[begin + i];
-                if (auto err = volume.setCrossSection(
-                        begin + i,
-                        den[i].shifted(-shift.first, -shift.second)))
-                    return R(*err);
-            }
+            std::vector<std::pair<long, long>> correction(count);
+            for (size_t i = 0; i < count; ++i)
+                correction[i] = {-result.shifts[begin + i].first,
+                                 -result.shifts[begin + i].second};
+            if (auto err =
+                    volume.setCrossSections(begin, den, correction))
+                return R(*err);
         }
         anchor = std::move(den.back());
     }

@@ -162,14 +162,17 @@ classifyIntensity(double intensity, const ContrastLut &lut,
     return best;
 }
 
-image::Image2D
-semImageClean(const image::Volume3D &materials, size_t x0,
-              size_t slice_voxels, const SemParams &params)
+void
+semImageCleanInto(const image::Volume3D &materials, size_t x0,
+                  size_t slice_voxels, const SemParams &params,
+                  image::Image2D &img)
 {
     if (x0 >= materials.nx())
         throw std::out_of_range("semImageClean: x0 out of range");
     if (slice_voxels == 0)
         throw std::invalid_argument("semImageClean: zero slice");
+    if (img.width() != materials.ny() || img.height() != materials.nz())
+        throw std::invalid_argument("semImageClean: frame shape");
 
     // Sample-dependent SE contrast compression (Section IV-B): on
     // vendors B and C the SE signal barely separates the materials,
@@ -188,7 +191,6 @@ semImageClean(const image::Volume3D &materials, size_t x0,
         shaded[m] = pivot + (lut[m] - pivot) * q;
 
     const size_t x1 = std::min(materials.nx(), x0 + slice_voxels);
-    image::Image2D img(materials.ny(), materials.nz());
     // Each output row (one z) only reads the material volume and
     // writes its own pixels: row-band parallel, scheduling-invariant.
     common::parallelFor(0, materials.nz(), 4,
@@ -219,6 +221,14 @@ semImageClean(const image::Volume3D &materials, size_t x0,
             }
         }
     });
+}
+
+image::Image2D
+semImageClean(const image::Volume3D &materials, size_t x0,
+              size_t slice_voxels, const SemParams &params)
+{
+    image::Image2D img(materials.ny(), materials.nz());
+    semImageCleanInto(materials, x0, slice_voxels, params, img);
     return img;
 }
 

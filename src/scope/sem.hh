@@ -98,6 +98,17 @@ image::Image2D semImageClean(const image::Volume3D &materials,
                              size_t x0, size_t slice_voxels,
                              const SemParams &params);
 
+/**
+ * semImageClean into a caller-allocated (Y, Z) frame: every pixel of
+ * `frame` is overwritten with the identical value.  Lets a caller
+ * that renders many frames in parallel allocate them up front on its
+ * own thread.  Throws std::invalid_argument on a frame of the wrong
+ * shape.
+ */
+void semImageCleanInto(const image::Volume3D &materials, size_t x0,
+                       size_t slice_voxels, const SemParams &params,
+                       image::Image2D &frame);
+
 } // namespace scope
 } // namespace hifi
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/parallel.hh"
@@ -504,6 +506,94 @@ TEST(Fib, AcquisitionRecordsBoundedDrift)
         EXPECT_LE(std::abs(d.second), 3);
     }
     EXPECT_EQ(stack.trueDrift.front(), (std::pair<long, long>{0, 0}));
+}
+
+/// Test-local copy of the stage-drift walk step of scope/fib.cc.
+long
+oracleDriftStep(long drift, double probability, long max_px,
+                common::Rng &rng)
+{
+    if (rng.uniform() >= probability)
+        return drift;
+    const double p_out = 0.5 /
+        (1.0 + std::abs(static_cast<double>(drift)) /
+             static_cast<double>(max_px));
+    const long delta = (rng.uniform() < p_out) ? 1 : -1;
+    const long next = drift + (drift >= 0 ? delta : -delta);
+    return std::clamp(next, -max_px, max_px);
+}
+
+/// The sequential reference acquisition: one frame at a time, drift
+/// steps then semImage on the caller's generator, shifted through a
+/// per-pixel clamped gather.
+image::SliceStack
+oracleAcquire(const image::Volume3D &materials,
+              const scope::FibSemParams &params, common::Rng &rng)
+{
+    image::SliceStack stack;
+    long drift_y = 0, drift_z = 0;
+    for (size_t x = 0; x + params.sliceVoxels <= materials.nx();
+         x += params.sliceVoxels) {
+        if (x > 0) {
+            drift_y = oracleDriftStep(drift_y, params.driftProbability,
+                                      params.maxDriftPx, rng);
+            drift_z = oracleDriftStep(drift_z, params.driftProbability,
+                                      params.maxDriftPx, rng);
+        }
+        const image::Image2D img = scope::semImage(
+            materials, x, params.sliceVoxels, params.sem, rng);
+        image::Image2D shifted(img.width(), img.height());
+        for (size_t z = 0; z < img.height(); ++z)
+            for (size_t y = 0; y < img.width(); ++y)
+                shifted.at(y, z) =
+                    img.clampedAt(static_cast<long>(y) - drift_y,
+                                  static_cast<long>(z) - drift_z);
+        stack.slices.push_back(std::move(shifted));
+        stack.trueDrift.emplace_back(drift_y, drift_z);
+    }
+    return stack;
+}
+
+TEST(Fib, AcquireMatchesSequentialOracleAtAnyThreadCount)
+{
+    image::Volume3D vol(43, 24, 20, 0.0f);
+    for (size_t z = 0; z < vol.nz(); ++z)
+        for (size_t y = 0; y < vol.ny(); ++y)
+            for (size_t x = 0; x < vol.nx(); ++x)
+                vol.at(x, y, z) = static_cast<float>(
+                    (x / 3 + 3 * y + 7 * z) % fab::kNumMaterials);
+    scope::FibSemParams params;
+    params.sliceVoxels = 2;
+    params.driftProbability = 0.6;
+    params.maxDriftPx = 3;
+
+    common::Rng oracle_rng(77);
+    const auto expect = oracleAcquire(vol, params, oracle_rng);
+    ASSERT_EQ(expect.slices.size(), 21u);
+    std::vector<uint64_t> expect_after;
+    for (int i = 0; i < 4; ++i)
+        expect_after.push_back(oracle_rng.next());
+
+    for (const size_t threads : {1u, 2u, 4u}) {
+        common::ScopedThreads scoped(threads);
+        common::Rng rng(77);
+        const auto stack = scope::acquire(vol, params, rng);
+        ASSERT_EQ(stack.slices.size(), expect.slices.size());
+        EXPECT_EQ(stack.trueDrift, expect.trueDrift) << threads;
+        for (size_t s = 0; s < stack.slices.size(); ++s) {
+            const auto &a = stack.slices[s];
+            const auto &b = expect.slices[s];
+            ASSERT_EQ(a.size(), b.size());
+            EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                                  a.size() * sizeof(float)),
+                      0)
+                << "slice " << s << " at " << threads << " threads";
+        }
+        // The caller's generator continues exactly where the
+        // sequential loop left it.
+        for (const uint64_t want : expect_after)
+            EXPECT_EQ(rng.next(), want) << threads;
+    }
 }
 
 TEST(Fib, CampaignCostMatchesPaperScale)

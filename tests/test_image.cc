@@ -96,6 +96,29 @@ TEST(Image2D, ShiftMovesContent)
     EXPECT_FLOAT_EQ(s.at(2, 3), 0.0f);
 }
 
+TEST(Image2D, InPlaceShiftMatchesClampedGather)
+{
+    // Every shift, including ones past the image edge on either axis,
+    // equals the per-pixel clamped gather bit for bit.
+    Image2D img(7, 5);
+    for (size_t i = 0; i < img.size(); ++i)
+        img.data()[i] = static_cast<float>(i) * 0.25f - 3.0f;
+    for (long dx = -9; dx <= 9; ++dx)
+        for (long dy = -7; dy <= 7; ++dy) {
+            Image2D expect(img.width(), img.height());
+            for (size_t y = 0; y < img.height(); ++y)
+                for (size_t x = 0; x < img.width(); ++x)
+                    expect.at(x, y) =
+                        img.clampedAt(static_cast<long>(x) - dx,
+                                      static_cast<long>(y) - dy);
+            Image2D moved = img;
+            moved.shiftInPlace(dx, dy);
+            EXPECT_EQ(moved.data(), expect.data()) << dx << "," << dy;
+            EXPECT_EQ(img.shifted(dx, dy).data(), expect.data())
+                << dx << "," << dy;
+        }
+}
+
 TEST(Image2D, CropExtractsWindow)
 {
     Image2D img = testPattern();

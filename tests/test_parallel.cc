@@ -478,4 +478,47 @@ TEST(PoolInstrumentation, TelemetryDoesNotPerturbKernelOutput)
     EXPECT_EQ(hist->second.count, jobs->second);
 }
 
+TEST(PoolInstrumentation, NestedFanOutsCountBusyTimeOnce)
+{
+    // pool.worker_busy_ns sums the time threads spend running chunks.
+    // A nested fan-out runs inside a chunk that already counts its
+    // time, so the total stays within wall time x threads, whether the
+    // outer job runs pooled or serially.
+    const auto spin = [](size_t, size_t) {
+        const auto until = std::chrono::steady_clock::now() +
+            std::chrono::microseconds(300);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+    };
+    struct Case
+    {
+        size_t threads, outerChunks;
+    };
+    for (const Case c : {Case{1, 8}, Case{2, 8}, Case{4, 8},
+                         Case{4, 1}}) {
+        const common::ScopedThreads scoped(c.threads);
+        telemetry::Session session;
+        const auto t0 = std::chrono::steady_clock::now();
+        common::parallelFor(0, c.outerChunks, 1, [&](size_t, size_t) {
+            common::parallelFor(0, 6, 1, spin);
+        });
+        // The wall interval closes after finish(): a worker may add
+        // its busy time just after the job returns, and any add the
+        // session saw happened before this point.
+        const auto collected = session.finish({});
+        const auto wall_ns = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+        ASSERT_TRUE(collected != nullptr);
+        const auto busy =
+            collected->metrics.counters.find("pool.worker_busy_ns");
+        ASSERT_NE(busy, collected->metrics.counters.end());
+        EXPECT_GT(busy->second, 0u);
+        EXPECT_LE(busy->second, wall_ns * c.threads)
+            << c.threads << " threads, " << c.outerChunks
+            << " outer chunks";
+    }
+}
+
 } // namespace

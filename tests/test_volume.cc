@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,7 +137,69 @@ bitwiseEqual(const Volume3D &a, const Volume3D &b)
     return std::memcmp(a.data(), b.data(), n * sizeof(float)) == 0;
 }
 
+/// Test-local byte-at-a-time FNV-1a: the tile digest's definition.
+uint64_t
+fnvOracle(const std::vector<float> &data)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(data.data());
+    uint64_t h = 1469598103934665603ull;
+    for (size_t i = 0; i < data.size() * sizeof(float); ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+float
+floatFromBits(uint32_t bits)
+{
+    float f = 0.0f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
 // ---- TileStore --------------------------------------------------------
+
+TEST(TileStore, DigestIsBytewiseFnv1a)
+{
+    std::vector<std::vector<float>> cases;
+    cases.push_back({});                            // empty
+    cases.push_back(std::vector<float>(1, 0.0f));   // one zero float
+    cases.push_back(std::vector<float>(257, 0.0f)); // all zero, odd
+    cases.push_back(tileData(40, 33));              // no zeros
+    // A lone zero float beside a nonzero one in the same 8-byte word,
+    // in both halves, then a full zero word and an odd tail.
+    cases.push_back({0.0f, 1.5f, 2.5f, 0.0f, 0.0f, 0.0f, 3.0f});
+    // -0.0f and NaN payloads: nonzero bits that must not be taken for
+    // zero words.
+    cases.push_back({-0.0f, -0.0f, 0.0f, -0.0f});
+    cases.push_back({floatFromBits(0x7fc00000u), 0.0f,
+                     floatFromBits(0x7f800001u),
+                     floatFromBits(0xffffffffu), 0.0f, 0.0f});
+    cases.push_back({0.0f, floatFromBits(0x00000001u)}); // denormal
+    // A full 64^3 tile: zero padding around a written core.
+    std::vector<float> tile(64 * 64 * 64, 0.0f);
+    common::Rng rng(41, 3);
+    for (size_t z = 0; z < 40; ++z)
+        for (size_t y = 0; y < 50; ++y)
+            for (size_t x = 0; x < 7; ++x)
+                tile[(z * 64 + y) * 64 + x] =
+                    static_cast<float>(rng.uniform());
+    cases.push_back(std::move(tile));
+
+    for (size_t i = 0; i < cases.size(); ++i)
+        EXPECT_EQ(TileStore::digestOf(cases[i]), fnvOracle(cases[i]))
+            << "case " << i;
+
+    // The digest reads the buffer at any alignment: every suffix of
+    // a mixed buffer shifts the 8-byte word boundaries.
+    std::vector<float> mixed = {0.0f, 0.0f, 1.0f, 0.0f, 0.0f, 0.0f,
+                                0.0f, -0.0f, 0.0f, 0.0f, 2.0f};
+    for (size_t k = 0; k < mixed.size(); ++k) {
+        const std::vector<float> tail(mixed.begin() + k, mixed.end());
+        EXPECT_EQ(TileStore::digestOf(tail), fnvOracle(tail)) << k;
+    }
+}
 
 TEST(TileStore, PutFetchRoundtripAndContentAddressing)
 {
@@ -370,9 +434,12 @@ TEST(TiledVolume, StreamedWritesMatchDenseUnderDirtyBudget)
                                       8 * 8 * 8 * sizeof(float));
     ASSERT_TRUE(made.ok());
     TiledVolume3D tiled = made.takeValue();
-    for (size_t x = 0; x < 30; ++x)
-        ASSERT_FALSE(
-            tiled.setCrossSection(x, dense.crossSection(x)));
+    for (size_t x0 = 0; x0 < 30; x0 += 7) {
+        std::vector<Image2D> window;
+        for (size_t x = x0; x < std::min<size_t>(30, x0 + 7); ++x)
+            window.push_back(dense.crossSection(x));
+        ASSERT_FALSE(tiled.setCrossSections(x0, window));
+    }
     ASSERT_FALSE(tiled.sealAll());
 
     auto back = tiled.toDense();
@@ -388,6 +455,126 @@ TEST(TiledVolume, StreamedWritesMatchDenseUnderDirtyBudget)
     auto again = relinked.value().toDense();
     ASSERT_TRUE(again.ok());
     EXPECT_TRUE(bitwiseEqual(again.value(), dense));
+}
+
+/// Dense oracle of a window write: slice x drawn through its shift
+/// pixel by pixel.
+Image2D
+shiftedOracle(const Image2D &img, std::pair<long, long> shift)
+{
+    Image2D out(img.width(), img.height());
+    for (size_t z = 0; z < img.height(); ++z)
+        for (size_t y = 0; y < img.width(); ++y)
+            out.at(y, z) =
+                img.clampedAt(static_cast<long>(y) - shift.first,
+                              static_cast<long>(z) - shift.second);
+    return out;
+}
+
+TEST(TiledVolume, WindowWritesMatchDenseAtSeveralWindowSizes)
+{
+    constexpr size_t nx = 75, ny = 19, nz = 13, edge = 8;
+    common::Rng rng(17, 2);
+    std::vector<Image2D> slices;
+    std::vector<std::pair<long, long>> shifts;
+    for (size_t x = 0; x < nx; ++x) {
+        Image2D img(ny, nz);
+        for (float &v : img.data())
+            v = static_cast<float>(rng.uniform());
+        slices.push_back(std::move(img));
+        shifts.emplace_back(static_cast<long>(rng.below(9)) - 4,
+                            static_cast<long>(rng.below(9)) - 4);
+    }
+    Volume3D dense(nx, ny, nz);
+    for (size_t x = 0; x < nx; ++x)
+        dense.setCrossSection(x, shiftedOracle(slices[x], shifts[x]));
+    TileStore ref_store(TileStoreConfig{});
+    auto ref = TiledVolume3D::fromDense(dense, ref_store, edge);
+    ASSERT_TRUE(ref.ok());
+    const auto ref_digests = ref.value().digests();
+    ASSERT_TRUE(ref_digests.ok());
+
+    struct Case
+    {
+        size_t window, dirtyBudget, threads;
+        bool spill;
+    };
+    const size_t tile_bytes = edge * edge * edge * sizeof(float);
+    const Case cases[] = {
+        {1, 0, 1, false},  {3, 0, 4, false}, {8, 0, 2, false},
+        {13, 0, 4, false}, {70, 0, 4, false},
+        // One-tile dirty budget: every tile of a window seals the
+        // previous one, and the next window reloads it.
+        {3, tile_bytes, 1, true}, {13, tile_bytes, 4, true},
+        {70, tile_bytes, 4, true},
+    };
+    for (const Case &c : cases) {
+        common::ScopedThreads threads(c.threads);
+        TileStoreConfig cfg;
+        if (c.spill)
+            cfg.dir = scratchDir("window_" + std::to_string(c.window));
+        TileStore store(std::move(cfg));
+        auto made = TiledVolume3D::create(nx, ny, nz, store, edge,
+                                          c.dirtyBudget);
+        ASSERT_TRUE(made.ok());
+        TiledVolume3D tiled = made.takeValue();
+        for (size_t x0 = 0; x0 < nx; x0 += c.window) {
+            const size_t n = std::min(c.window, nx - x0);
+            ASSERT_FALSE(tiled.setCrossSections(
+                x0, std::span<const Image2D>(slices).subspan(x0, n),
+                std::span<const std::pair<long, long>>(shifts)
+                    .subspan(x0, n)));
+            if (c.dirtyBudget != 0) {
+                EXPECT_LE(tiled.dirtyBytes(), c.dirtyBudget);
+            }
+        }
+        const auto digests = tiled.digests();
+        ASSERT_TRUE(digests.ok());
+        EXPECT_EQ(digests.value(), ref_digests.value())
+            << "window=" << c.window << " budget=" << c.dirtyBudget;
+        auto back = tiled.toDense();
+        ASSERT_TRUE(back.ok());
+        EXPECT_TRUE(bitwiseEqual(back.value(), dense))
+            << "window=" << c.window << " budget=" << c.dirtyBudget;
+    }
+}
+
+TEST(TiledVolume, WindowWriteIntoTooSmallMemoryStoreIsTyped)
+{
+    // A memory-only store that holds one tile cannot take the seals a
+    // one-tile dirty budget forces: the write fails typed, no crash.
+    constexpr size_t edge = 8;
+    const size_t tile_bytes = edge * edge * edge * sizeof(float);
+    TileStoreConfig cfg;
+    cfg.budgetBytes = tile_bytes;
+    TileStore store(std::move(cfg));
+    auto made = TiledVolume3D::create(20, 20, 20, store, edge,
+                                      tile_bytes);
+    ASSERT_TRUE(made.ok());
+    TiledVolume3D tiled = made.takeValue();
+    common::Rng rng(19, 4);
+    std::vector<Image2D> window(5, Image2D(20, 20));
+    for (Image2D &img : window)
+        for (float &v : img.data())
+            v = static_cast<float>(rng.uniform());
+    const auto err = tiled.setCrossSections(0, window);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->code, ErrorCode::ResourceExhausted);
+
+    // A refused seal keeps the tile's buffer: the volume stays
+    // writable and readable, and fails typed again, never crashes.
+    // The first tile layer (z < 8) was fully written before the
+    // refusal and reads back intact.
+    const auto again = tiled.setCrossSections(0, window);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->code, ErrorCode::ResourceExhausted);
+    auto cs = tiled.crossSection(2);
+    ASSERT_TRUE(cs.ok());
+    for (size_t z = 0; z < edge; ++z)
+        for (size_t y = 0; y < 20; ++y)
+            ASSERT_EQ(cs.value().at(y, z), window[2].at(y, z))
+                << y << "," << z;
+    EXPECT_EQ(tiled.sealAll()->code, ErrorCode::ResourceExhausted);
 }
 
 TEST(TiledVolume, ZeroTilesCollapseToOneStoredTile)
@@ -422,6 +609,17 @@ TEST(TiledVolume, TypedErrors)
               ErrorCode::InvalidArgument);
     EXPECT_EQ(v.at(0, 0, 9).error().code,
               ErrorCode::InvalidArgument);
+    const std::vector<Image2D> window(2, Image2D(4, 4));
+    EXPECT_EQ(v.setCrossSections(3, window)->code,
+              ErrorCode::InvalidArgument);
+    EXPECT_EQ(v.setCrossSections(0, std::vector<Image2D>{
+                                           Image2D(4, 4), Image2D(3, 4)})
+                  ->code,
+              ErrorCode::InvalidArgument);
+    const std::vector<std::pair<long, long>> one_shift{{1, 1}};
+    EXPECT_EQ(v.setCrossSections(0, window, one_shift)->code,
+              ErrorCode::InvalidArgument);
+    EXPECT_FALSE(v.setCrossSections(4, {}));
 
     auto short_list = TiledVolume3D::fromDigests(
         4, 4, 4, 4, std::vector<uint64_t>{1, 2}, store);
