@@ -39,7 +39,12 @@ main()
         config.pairs = 3;
         config.seed = 5;
         config.detectorOverride = c.detector;
-        const auto rep = core::runPipeline(config);
+        const auto run = core::runPipelineChecked(config);
+        if (!run.ok()) {
+            std::cerr << c.chip << ": " << run.error().message << "\n";
+            return 1;
+        }
+        const core::PipelineReport &rep = run.value();
 
         const bool full = rep.topologyCorrect &&
             rep.extractedDevices == rep.trueDevices &&

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "common/table.hh"
-#include "common/rng.hh"
 #include "common/telemetry.hh"
 #include "core/pipeline.hh"
 #include "fab/mat.hh"
@@ -38,7 +37,12 @@ main()
         config.chipId = chip.id;
         config.pairs = 4;
         config.seed = 2024;
-        const auto rep = core::runPipeline(config);
+        const auto run = core::runPipelineChecked(config);
+        if (!run.ok()) {
+            std::cerr << chip.id << ": " << run.error().message << "\n";
+            return 1;
+        }
+        const core::PipelineReport &rep = run.value();
         all_ok &= rep.topologyCorrect && rep.crossCouplingConsistent;
 
         t.addRow({rep.chipId,
@@ -77,8 +81,9 @@ main()
         fib.sem.detector = chip.detector;
         fib.sem.dwellUs = chip.dwellUs;
         fib.sliceVoxels = 2;
-        common::Rng rng(7);
-        const auto stack = scope::acquire(mats, fib, rng);
+        const auto stack = scope::acquire(mats, fib, scope::FaultParams{},
+                                          scope::RecoveryParams{}, 7)
+                               .stack;
         // Memory-only tile store; a failure throws with its message.
         image::TileStore store(image::TileStoreConfig{});
         const auto volume = scope::postprocessStreamed(stack, store)

@@ -439,8 +439,8 @@ main(int argc, char **argv)
         Row row;
         row.name = "acquire_robust_2x";
         row.fastMs = medianMs([&] {
-            retries = scope::acquireRobust(scene, params, faults,
-                                           recovery, 42)
+            retries = scope::acquire(scene, params, faults,
+                                     recovery, 42)
                           .retries;
         }, reps);
 
@@ -452,8 +452,8 @@ main(int argc, char **argv)
         Row row_nc;
         row_nc.name = "acquire_robust_2x_no_clean_cache";
         row_nc.fastMs = medianMs([&] {
-            retries_nc = scope::acquireRobust(scene, params, faults,
-                                              no_cache, 42)
+            retries_nc = scope::acquire(scene, params, faults,
+                                        no_cache, 42)
                              .retries;
         }, reps);
         check(retries == retries_nc, "clean cache changes retries");
@@ -465,8 +465,8 @@ main(int argc, char **argv)
         // the fast-path counters land in the exported files.
         if (!telemetry_prefix.empty()) {
             telemetry::Session session;
-            (void)scope::acquireRobust(scene, params, faults,
-                                       recovery, 42);
+            (void)scope::acquire(scene, params, faults,
+                                 recovery, 42);
             image::MiParams mi;
             mi.strategy = image::MiStrategy::Pyramid;
             (void)image::registerShiftMi(fixed, moving, mi);

@@ -53,8 +53,10 @@ main(int argc, char **argv)
             fib.sliceVoxels =
                 static_cast<size_t>(slice_nm / voxel + 0.5);
 
-            common::Rng rng(7);
-            const auto stack = scope::acquire(mats, fib, rng);
+            const auto stack =
+                scope::acquire(mats, fib, scope::FaultParams{},
+                               scope::RecoveryParams{}, 7)
+                    .stack;
 
             // SNR of the central raw slice against its clean render.
             const size_t mid =

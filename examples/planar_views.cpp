@@ -11,7 +11,6 @@
 #include <iostream>
 #include <string>
 
-#include "common/rng.hh"
 #include "fab/mat.hh"
 #include "fab/sa_region.hh"
 #include "fab/voxelizer.hh"
@@ -40,8 +39,9 @@ main(int argc, char **argv)
         fib.sem.seQuality = chip.seQuality;
         fib.sliceVoxels = std::max<size_t>(
             1, static_cast<size_t>(chip.sliceNm / voxel + 0.5));
-        common::Rng rng(11);
-        const auto stack = scope::acquire(mats, fib, rng);
+        const auto stack = scope::acquire(mats, fib, scope::FaultParams{},
+                                          scope::RecoveryParams{}, 11)
+                               .stack;
         // Memory-only tile store; a failure throws with its message.
         image::TileStore store(image::TileStoreConfig{});
         const auto post =

@@ -33,7 +33,12 @@ main(int argc, char **argv)
     std::cout << "HiFi-DRAM quickstart on chip " << config.chipId
               << "\n\n[1/3] fab -> FIB/SEM -> post-process -> reverse "
                  "engineer...\n";
-    const core::PipelineReport report = core::runPipeline(config);
+    const auto run = core::runPipelineChecked(config);
+    if (!run.ok()) {
+        std::cerr << "pipeline failed: " << run.error().message << "\n";
+        return 1;
+    }
+    const core::PipelineReport &report = run.value();
 
     std::cout << "  slices acquired:     " << report.slices << "\n"
               << "  alignment residual:  "
@@ -70,12 +75,12 @@ main(int argc, char **argv)
     circuit::SaParams params =
         re::saParamsFromAnalysis(report.analysis);
     params.storeOne = true;
-    const circuit::SaRun run = circuit::simulateActivation(params);
+    const circuit::SaRun sa = circuit::simulateActivation(params);
     std::cout << "  stored '1' latched "
-              << (run.latchedCorrectly ? "correctly" : "WRONG")
-              << "; BL=" << Table::num(run.blAtRestore, 2)
-              << " V, BLB=" << Table::num(run.blbAtRestore, 2)
+              << (sa.latchedCorrectly ? "correctly" : "WRONG")
+              << "; BL=" << Table::num(sa.blAtRestore, 2)
+              << " V, BLB=" << Table::num(sa.blbAtRestore, 2)
               << " V after restore; cell recharged to "
-              << Table::num(run.cellAtRestore, 2) << " V\n";
-    return report.topologyCorrect && run.latchedCorrectly ? 0 : 1;
+              << Table::num(sa.cellAtRestore, 2) << " V\n";
+    return report.topologyCorrect && sa.latchedCorrectly ? 0 : 1;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 #include "common/parallel.hh"
@@ -151,20 +150,6 @@ runValidatedPipeline(const PipelineConfig &config)
     return common::Result<PipelineReport>(std::move(state.report));
 }
 
-/// Map a typed error onto the exception taxonomy the throwing entry
-/// point has always used: unknown ids surface as std::out_of_range,
-/// bad parameters as std::invalid_argument.
-[[noreturn]] void
-throwLegacy(const common::Error &err)
-{
-    if (err.code == common::ErrorCode::NotFound)
-        throw std::out_of_range(err.message);
-    if (err.code == common::ErrorCode::InvalidArgument ||
-        err.code == common::ErrorCode::FailedPrecondition)
-        throw std::invalid_argument(err.message);
-    throw std::runtime_error(err.message);
-}
-
 /**
  * End an active session into the report: attach the collected spans
  * and metric deltas, and write the QC audit trail if a path was
@@ -182,35 +167,12 @@ finishTelemetry(telemetry::Session &session,
 
 } // namespace
 
-PipelineReport
-runPipeline(const PipelineConfig &config)
+common::Result<PipelineReport>
+runPipelineChecked(const PipelineConfig &config)
 {
     // Bind the session to this thread (and, via the pool, to every
     // fan-out it spawns) so concurrent runs attribute their spans
     // and metric deltas to their own sessions.
-    std::optional<telemetry::Session> session;
-    std::optional<telemetry::SessionBind> bind;
-    if (config.telemetry.enabled) {
-        session.emplace();
-        bind.emplace(*session);
-    }
-    {
-        const telemetry::Span vspan("pipeline.validate");
-        if (const auto err = validateConfig(config))
-            throwLegacy(*err);
-    }
-    auto result = runValidatedPipeline(config);
-    if (!result.ok())
-        throwLegacy(result.error());
-    PipelineReport report = result.takeValue();
-    if (session)
-        finishTelemetry(*session, config, report);
-    return report;
-}
-
-common::Result<PipelineReport>
-runPipelineChecked(const PipelineConfig &config)
-{
     std::optional<telemetry::Session> session;
     std::optional<telemetry::SessionBind> bind;
     if (config.telemetry.enabled) {
@@ -245,7 +207,7 @@ namespace hifi
 namespace core
 {
 
-Repeatability
+common::Result<Repeatability>
 repeatPipeline(const PipelineConfig &base, size_t runs)
 {
     Repeatability rep;
@@ -253,7 +215,10 @@ repeatPipeline(const PipelineConfig &base, size_t runs)
     for (size_t i = 0; i < runs; ++i) {
         PipelineConfig config = base;
         config.seed = base.seed + i;
-        const auto report = runPipeline(config);
+        auto run = runPipelineChecked(config);
+        if (!run.ok())
+            return run.error();
+        const PipelineReport &report = run.value();
         if (report.topologyCorrect)
             ++rep.topologyCorrect;
         if (report.crossCouplingConsistent)

@@ -97,16 +97,18 @@ struct PipelineConfig
 
     /**
      * Acquisition fault model (scope/faults.hh).  Disabled by default:
-     * the fault-free path takes the legacy acquisition code path and
-     * stays bitwise identical to the pre-robustness pipeline.  With
-     * faults enabled the pipeline switches to scope::acquireRobust —
-     * QC-checked slices, bounded re-imaging, neighbour interpolation —
-     * and the degradation fields of the report become meaningful.
+     * scope::acquire then images each slice once, with no QC.  With
+     * faults enabled the same acquisition injects faults, QC-checks
+     * every slice, re-images within a bounded budget and interpolates
+     * from neighbours, and the degradation fields of the report
+     * become meaningful.  Both modes draw from the same counter-seeded
+     * substreams, so a fault-free frame is the faulted run's first
+     * attempt when that attempt draws no fault.
      */
     scope::FaultParams faults;
 
-    /// Retry/interpolation policy and QC thresholds for the robust
-    /// acquisition (only used when faults.enabled).
+    /// Retry/interpolation policy and QC thresholds of the re-imaging
+    /// loop (only used when faults.enabled).
     scope::RecoveryParams recovery;
 
     /**
@@ -233,7 +235,7 @@ struct PipelineReport
     double maxDimErrorNm = 0.0;
 
     // ---- Robustness / degradation accounting ----------------------
-    // All zero / 1.0 / false on the fault-free legacy path.
+    // All zero / 1.0 / false when faults are disabled.
 
     /// Slices that needed more than one imaging attempt.
     size_t slicesRetried = 0;
@@ -270,8 +272,8 @@ struct PipelineReport
     /// Full analysis, for further inspection.
     re::RegionAnalysis analysis;
 
-    /// Per-slice QC decision trail from the robust acquisition
-    /// (empty on the legacy fault-free path).  Seed-pure: identical
+    /// Per-slice QC decision trail of the acquisition (empty when
+    /// faults are disabled: no QC runs).  Seed-pure: identical
     /// with telemetry on or off.  Export with scope::qcAuditJson().
     std::vector<scope::SliceDecision> qcAudit;
 
@@ -282,19 +284,10 @@ struct PipelineReport
 };
 
 /**
- * Run the full pipeline on one chip configuration.
- *
- * Throws on invalid configurations (std::out_of_range for unknown
- * chip ids, std::invalid_argument otherwise) — use runPipelineChecked
- * for typed errors instead of exceptions.
- */
-PipelineReport runPipeline(const PipelineConfig &config);
-
-/**
- * Exception-free pipeline entry point: validates the configuration up
- * front and converts any internal failure into a typed error, so
- * production callers always get either a report (possibly with
- * `degraded` set) or an Error — never a crash.
+ * Run the full pipeline on one chip configuration.  Validates the
+ * configuration up front and converts any internal failure into a
+ * typed error, so callers always get either a report (possibly with
+ * `degraded` set) or an Error — never an exception.
  */
 common::Result<PipelineReport>
 runPipelineChecked(const PipelineConfig &config);
@@ -315,8 +308,10 @@ struct Repeatability
 /**
  * Re-run the pipeline `runs` times with seeds base.seed, base.seed+1,
  * ... - the in-silico analogue of the paper's repeated measurements.
+ * The first failed run's error is returned instead.
  */
-Repeatability repeatPipeline(const PipelineConfig &base, size_t runs);
+common::Result<Repeatability> repeatPipeline(const PipelineConfig &base,
+                                             size_t runs);
 
 } // namespace core
 } // namespace hifi

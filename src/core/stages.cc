@@ -12,7 +12,6 @@
 
 #include "common/log.hh"
 #include "common/parallel.hh"
-#include "common/rng.hh"
 #include "fab/voxelizer.hh"
 #include "re/topology_match.hh"
 #include "scope/fib.hh"
@@ -250,40 +249,32 @@ stageAcquire(const PipelineConfig &config, StagedState &state)
     common::inform("pipeline " + chip.id + ": acquiring " +
                    std::to_string(materials.nx() / fib.sliceVoxels) +
                    " slices");
-    auto stack = std::make_shared<image::SliceStack>();
-    if (config.faults.enabled) {
-        // Production path: fault injection, per-slice QC, bounded
-        // re-imaging, neighbour interpolation.  Counter-seeded, so
-        // the whole recovery log is a pure function of the seed.
-        scope::RobustAcquisition robust = scope::acquireRobust(
-            materials, fib, config.faults, config.recovery,
-            config.seed, state.cleanFrames, state.volumeKey);
-        *stack = std::move(robust.stack);
-        report.slicesRetried = robust.slicesRetried;
-        report.retries = robust.retries;
-        report.slicesInterpolated = robust.slicesInterpolated;
-        report.interpolatedSlices =
-            std::move(robust.interpolatedSlices);
-        report.slicesUnrecoverable = robust.slicesUnrecoverable;
-        report.faultsInjected = robust.faultsInjected;
-        report.faultsDetected = robust.faultsDetected;
-        report.qcConfidence = robust.qcConfidence;
-        report.qcAudit = std::move(robust.audit);
-        report.degraded = robust.slicesInterpolated > 0 ||
-            robust.slicesUnrecoverable > 0;
-        if (report.degraded)
-            common::warn("pipeline " + chip.id + ": degraded (" +
-                         std::to_string(robust.slicesInterpolated) +
-                         " interpolated, " +
-                         std::to_string(robust.slicesUnrecoverable) +
-                         " unrecoverable slices)");
-    } else {
-        // Legacy fault-free path, bit-identical to the pre-robustness
-        // pipeline: one sequential generator threads drift and frame
-        // seeds exactly as before.
-        common::Rng rng(config.seed);
-        *stack = scope::acquire(materials, fib, rng);
-    }
+    // Fault injection, per-slice QC, bounded re-imaging and neighbour
+    // interpolation when faults are enabled; one parallel pass of
+    // single attempts otherwise.  Counter-seeded either way, so the
+    // stack and the recovery log are pure functions of the seed.
+    scope::RobustAcquisition acquired = scope::acquire(
+        materials, fib, config.faults, config.recovery, config.seed,
+        state.cleanFrames, state.volumeKey);
+    auto stack =
+        std::make_shared<image::SliceStack>(std::move(acquired.stack));
+    report.slicesRetried = acquired.slicesRetried;
+    report.retries = acquired.retries;
+    report.slicesInterpolated = acquired.slicesInterpolated;
+    report.interpolatedSlices = std::move(acquired.interpolatedSlices);
+    report.slicesUnrecoverable = acquired.slicesUnrecoverable;
+    report.faultsInjected = acquired.faultsInjected;
+    report.faultsDetected = acquired.faultsDetected;
+    report.qcConfidence = acquired.qcConfidence;
+    report.qcAudit = std::move(acquired.audit);
+    report.degraded = acquired.slicesInterpolated > 0 ||
+        acquired.slicesUnrecoverable > 0;
+    if (report.degraded)
+        common::warn("pipeline " + chip.id + ": degraded (" +
+                     std::to_string(acquired.slicesInterpolated) +
+                     " interpolated, " +
+                     std::to_string(acquired.slicesUnrecoverable) +
+                     " unrecoverable slices)");
     if (stack->slices.empty())
         return common::Error{
             common::ErrorCode::FailedPrecondition,

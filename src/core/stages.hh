@@ -2,7 +2,7 @@
  * @file
  * Staged, resumable decomposition of the HiFi-DRAM pipeline.
  *
- * The monolithic `runPipeline` is rebuilt on five explicit stages —
+ * `runPipelineChecked` runs the pipeline as five explicit stages —
  * Fab, Acquire, Postprocess, Analyze, Finalize — each a pure function
  * of (config, state before the stage).  A `StagedState` carries the
  * stage cursor, the partial `PipelineReport` and the one intermediate
@@ -45,7 +45,7 @@ namespace core
 enum class Stage
 {
     Fab,         ///< layout + voxelize + plant defects
-    Acquire,     ///< FIB/SEM slice stack (robust or legacy path)
+    Acquire,     ///< FIB/SEM slice stack (faults on or off)
     Postprocess, ///< denoise + register + assemble
     Analyze,     ///< reverse engineering of the volume
     Finalize,    ///< truth validation, matching, dimension scoring

@@ -89,7 +89,15 @@ runFullStudy(const StudyConfig &config)
         pc.chipId = id;
         pc.pairs = config.pairs;
         pc.seed = config.seed;
-        const auto rep = runPipeline(pc);
+        const auto run = runPipelineChecked(pc);
+        if (!run.ok()) {
+            result.allTopologiesCorrect = false;
+            result.allCrossCouplingsTraced = false;
+            md << "| " << id << " | failed: " << run.error().message
+               << " | | | | |\n";
+            continue;
+        }
+        const PipelineReport &rep = run.value();
 
         result.allTopologiesCorrect &= rep.topologyCorrect;
         result.allCrossCouplingsTraced &= rep.crossCouplingConsistent;

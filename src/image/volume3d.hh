@@ -145,8 +145,9 @@ struct SliceStack
     /// Ground-truth drift of each slice (known only to the simulator).
     std::vector<std::pair<long, long>> trueDrift;
 
-    /// Fault/recovery provenance per slice.  Empty for the plain
-    /// `scope::acquire` path; filled by `scope::acquireRobust`.
+    /// Fault/recovery provenance per slice, filled by
+    /// `scope::acquire` (a clean accepted first attempt per slice when
+    /// faults are disabled).
     std::vector<SliceProvenance> provenance;
 
     /// nm of material removed per slice (10 or 20 in the paper).

@@ -50,8 +50,9 @@ const char *faultName(FaultKind kind);
 /** Fault model: per-slice rates and magnitudes. */
 struct FaultParams
 {
-    /// Master switch; disabled keeps the acquisition fault-free (and
-    /// the pipeline bit-identical to the legacy path).
+    /// Master switch.  Disabled, scope::acquire images each slice once
+    /// with no fault draw and no QC; its frames are bitwise the first
+    /// attempts an enabled run with every rate at 0 would render.
     bool enabled = false;
 
     // Per-attempt occurrence probabilities (at most one fault per

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "common/telemetry.hh"
 #include "image/noise.hh"
 #include "image/registration.hh"
@@ -40,7 +41,7 @@ constexpr uint64_t kDriftStream = ~0ull;
 /// fault stream (even) and a frame-noise stream (odd).
 constexpr uint64_t kSliceStreamStride = 2 * kMaxAttemptsPerSlice;
 
-/// One mean-reverting bounded drift step shared by both acquirers.
+/// One mean-reverting bounded drift step of the stage-drift walk.
 long
 driftStep(long drift, double probability, long max_px,
           common::Rng &rng)
@@ -216,98 +217,34 @@ cleanFrameKey(uint64_t volume_key, size_t x, size_t slice_voxels,
 
 } // namespace
 
-image::SliceStack
+RobustAcquisition
 acquire(const image::Volume3D &materials, const FibSemParams &params,
-        common::Rng &rng)
-{
-    if (params.sliceVoxels == 0)
-        throw std::invalid_argument("acquire: zero slice thickness");
-
-    const telemetry::Span span("scope.acquire");
-    image::SliceStack stack;
-    stack.sliceThicknessNm = 0.0; // caller-level metadata; see below
-
-    // Serial pre-pass over the caller's generator: each slice's drift
-    // steps, then its frame seed, in the order a one-frame-at-a-time
-    // loop draws them, so the stack and the generator's final state
-    // do not depend on how the frames are rendered below.
-    std::vector<uint64_t> frame_seeds;
-    long drift_y = 0, drift_z = 0;
-    for (size_t x = 0; x + params.sliceVoxels <= materials.nx();
-         x += params.sliceVoxels) {
-        if (x > 0) {
-            drift_y = driftStep(drift_y, params.driftProbability,
-                                params.maxDriftPx, rng);
-            drift_z = driftStep(drift_z, params.driftProbability,
-                                params.maxDriftPx, rng);
-        }
-        stack.trueDrift.emplace_back(drift_y, drift_z);
-        frame_seeds.push_back(rng.next());
-    }
-
-    // Frames are allocated here, on the calling thread, and filled in
-    // place slice-parallel: each one is a pure function of its mill
-    // position, seed and drift.  The kernels' own row fan-outs run
-    // serially inside a slice chunk.
-    const size_t n = frame_seeds.size();
-    stack.slices.reserve(n);
-    for (size_t s = 0; s < n; ++s)
-        stack.slices.emplace_back(materials.ny(), materials.nz());
-    const double electrons =
-        params.sem.electronsPerUs * params.sem.dwellUs;
-    common::parallelFor(0, n, 1, [&](size_t s0, size_t s1) {
-        for (size_t s = s0; s < s1; ++s) {
-            const telemetry::Span frame_span("scope.sem_image");
-            image::Image2D &frame = stack.slices[s];
-            semImageCleanInto(materials, s * params.sliceVoxels,
-                              params.sliceVoxels, params.sem, frame);
-            image::addSensorNoise(frame, electrons,
-                                  params.sem.readNoise, frame_seeds[s]);
-            frame.shiftInPlace(stack.trueDrift[s].first,
-                               stack.trueDrift[s].second);
-        }
-    });
-    return stack;
-}
-
-// ---- Robust acquisition (streaming core) ---------------------------
-
-StreamAcquisitionStats
-acquireRobustStreamed(const image::Volume3D &materials,
-                      const FibSemParams &params,
-                      const FaultParams &faults,
-                      const RecoveryParams &recovery, uint64_t seed,
-                      const SliceConsumer &sink,
-                      CleanFrameCache *sharedCleanFrames,
-                      uint64_t volumeKey)
+        const FaultParams &faults, const RecoveryParams &recovery,
+        uint64_t seed, CleanFrameCache *sharedCleanFrames,
+        uint64_t volumeKey)
 {
     if (const auto err = validate(params))
-        throw std::invalid_argument("acquireRobust: " + err->message);
+        throw std::invalid_argument("acquire: " + err->message);
     if (const auto err = validate(faults))
-        throw std::invalid_argument("acquireRobust: " + err->message);
+        throw std::invalid_argument("acquire: " + err->message);
     if (const auto err = validate(recovery))
-        throw std::invalid_argument("acquireRobust: " + err->message);
+        throw std::invalid_argument("acquire: " + err->message);
 
     const telemetry::Span span("scope.acquire");
-    StreamAcquisitionStats out;
-
-    std::vector<size_t> positions;
-    for (size_t x = 0; x + params.sliceVoxels <= materials.nx();
-         x += params.sliceVoxels)
-        positions.push_back(x);
-    if (positions.empty())
+    RobustAcquisition out;
+    out.stack.sliceThicknessNm = 0.0; // caller-level metadata
+    const size_t n = materials.nx() / params.sliceVoxels;
+    if (n == 0)
         return out;
-    out.slices = positions.size();
 
     // The drift walk is drawn from its own substream up front, so it
     // is a pure function of the seed no matter how many re-imaging
     // attempts individual slices need.
-    std::vector<std::pair<long, long>> drift(positions.size(),
-                                             {0, 0});
+    std::vector<std::pair<long, long>> drift(n, {0, 0});
     {
         common::Rng drift_rng(seed, kDriftStream);
         long dy = 0, dz = 0;
-        for (size_t s = 1; s < positions.size(); ++s) {
+        for (size_t s = 1; s < n; ++s) {
             dy = driftStep(dy, params.driftProbability,
                            params.maxDriftPx, drift_rng);
             dz = driftStep(dz, params.driftProbability,
@@ -316,8 +253,98 @@ acquireRobustStreamed(const image::Volume3D &materials,
         }
     }
 
+    /// Stage shift applied to an attempt, and the fault it records
+    /// (SliceSkip when the face overshot).
+    struct Attempt
+    {
+        FaultKind fault = FaultKind::None;
+        std::pair<long, long> shift{0, 0};
+    };
+
+    // Render attempt (s, a) into `frame`: the clean face (from `cache`
+    // when given), sensor noise, the sampled imaging fault and the
+    // stage shift.  All its randomness comes from two counter-seeded
+    // substreams, fault placement (even) and frame noise (odd), so it
+    // is a pure function of (seed, s, a).  `skip` carries the slice's
+    // double mill across its attempts: the mill only runs once, so a
+    // skip sampled on the first attempt moves every attempt's face
+    // and one sampled on a retry is a no-op.  With faults disabled no
+    // fault is drawn.
     const double electrons =
         params.sem.electronsPerUs * params.sem.dwellUs;
+    const auto renderAttempt = [&](size_t s, size_t a,
+                                   CleanFrameCache *cache, bool &skip,
+                                   image::Image2D &frame) {
+        common::Rng fault_rng(seed, kSliceStreamStride * s + 2 * a);
+        FaultKind kind = sampleFaultKind(faults, fault_rng);
+        if (kind == FaultKind::SliceSkip) {
+            if (a == 0)
+                skip = true;
+            kind = FaultKind::None;
+        }
+        size_t x = s * params.sliceVoxels;
+        if (skip)
+            x = std::min(x + faults.skipOvershootSlices *
+                                 params.sliceVoxels,
+                         materials.nx() - params.sliceVoxels);
+        {
+            const telemetry::Span image_span("scope.sem_image");
+            if (cache)
+                frame = cache->fetch(
+                    cleanFrameKey(volumeKey, x, params.sliceVoxels,
+                                  params.sem),
+                    [&] {
+                        return semImageClean(materials, x,
+                                             params.sliceVoxels,
+                                             params.sem);
+                    });
+            else
+                semImageCleanInto(materials, x, params.sliceVoxels,
+                                  params.sem, frame);
+            const uint64_t frame_seed =
+                common::Rng(seed, kSliceStreamStride * s + 2 * a + 1)
+                    .next();
+            image::addSensorNoise(frame, electrons,
+                                  params.sem.readNoise, frame_seed);
+            applyImagingFault(frame, kind, faults, fault_rng);
+        }
+        Attempt out;
+        out.fault = skip ? FaultKind::SliceSkip : kind;
+        out.shift = drift[s];
+        if (kind == FaultKind::DriftExcursion) {
+            const auto ex =
+                sampleExcursion(faults, params.maxDriftPx, fault_rng);
+            out.shift.first += ex.first;
+            out.shift.second += ex.second;
+        }
+        frame.shiftInPlace(out.shift.first, out.shift.second);
+        return out;
+    };
+
+    // Frames are allocated here, on the calling thread, and filled in
+    // place.
+    std::vector<image::Image2D> &frames = out.stack.slices;
+    frames.reserve(n);
+    for (size_t s = 0; s < n; ++s)
+        frames.emplace_back(materials.ny(), materials.nz());
+    out.stack.provenance.resize(n);
+
+    if (!faults.enabled) {
+        // One attempt per slice and no QC: every frame is a pure
+        // function of its slice, so the slices render in parallel
+        // (the kernels' own row fan-outs run serially inside a slice
+        // chunk).  Each frame is bitwise the faulted path's first
+        // attempt when that attempt draws no fault.
+        common::parallelFor(0, n, 1, [&](size_t s0, size_t s1) {
+            for (size_t s = s0; s < s1; ++s) {
+                bool skip = false;
+                renderAttempt(s, 0, nullptr, skip, frames[s]);
+            }
+        });
+        out.stack.trueDrift = std::move(drift);
+        return out;
+    }
+
     const size_t max_attempts = recovery.maxRetries + 1;
     image::QcMonitor monitor(recovery.qc);
 
@@ -344,154 +371,29 @@ acquireRobustStreamed(const image::Volume3D &materials,
     // campaign service) spans jobs; otherwise a private bounded LRU
     // covers this acquisition alone.
     std::optional<CleanFrameCache> local_cache;
-    CleanFrameCache *clean_cache = sharedCleanFrames;
-    if (clean_cache == nullptr && recovery.reuseCleanFrames)
-        clean_cache =
-            &local_cache.emplace(recovery.cleanCacheCapacity);
+    CleanFrameCache *clean_cache = nullptr;
+    if (recovery.reuseCleanFrames)
+        clean_cache = sharedCleanFrames
+            ? sharedCleanFrames
+            : &local_cache.emplace(recovery.cleanCacheCapacity);
 
-    // Streaming recovery state.  A budget-exhausted slice cannot be
-    // finalized until its nearest accepted *right* neighbour exists,
-    // so consecutive failures are held back and resolved as a run —
-    // the same nearest-accepted-neighbour blend the in-RAM pass
-    // computed, produced in strictly increasing index order.  The
-    // held-back set is the failure run plus one retained accepted
-    // frame, not the stack.
-    std::vector<StreamedSlice> pending;
-    image::Image2D last_accepted_frame;
-    std::pair<long, long> last_accepted_drift{0, 0};
-    bool have_accepted = false;
-    double weight = 0.0;
-
-    const auto emitSlice = [&](StreamedSlice &&s) {
-        if (!s.provenance.unrecoverable)
-            weight += s.provenance.interpolated ? 0.5 : 1.0;
-        sink(std::move(s));
-    };
-
-    // Finalize the pending failure run against the just-accepted
-    // right neighbour (null at end of stream).  Matches the dense
-    // interpolation pass: blend when both neighbours exist, copy the
-    // single neighbour otherwise, unrecoverable when neither does.
-    const auto resolvePending = [&](const image::Image2D *right_frame,
-                                    const std::pair<long, long>
-                                        *right_drift) {
-        if (pending.empty())
-            return;
-        const telemetry::Span interp_span("scope.interpolate");
-        for (StreamedSlice &p : pending) {
-            if (have_accepted && right_frame != nullptr) {
-                const image::Image2D &a = last_accepted_frame;
-                const image::Image2D &b = *right_frame;
-                image::Image2D blend(a.width(), a.height());
-                for (size_t i = 0; i < blend.size(); ++i)
-                    blend.data()[i] =
-                        0.5f * (a.data()[i] + b.data()[i]);
-                p.frame = std::move(blend);
-                p.drift = {(last_accepted_drift.first +
-                            right_drift->first) /
-                               2,
-                           (last_accepted_drift.second +
-                            right_drift->second) /
-                               2};
-            } else if (have_accepted) {
-                p.frame = last_accepted_frame;
-                p.drift = last_accepted_drift;
-            } else if (right_frame != nullptr) {
-                p.frame = *right_frame;
-                p.drift = *right_drift;
-            } else {
-                p.provenance.unrecoverable = true;
-                p.decision.unrecoverable = true;
-                ++out.slicesUnrecoverable;
-                if (telemetry::enabled())
-                    countDecision("unrecoverable",
-                                  p.provenance.injectedFault);
-                emitSlice(std::move(p));
-                continue;
-            }
-            p.provenance.interpolated = true;
-            p.decision.interpolated = true;
-            ++out.slicesInterpolated;
-            out.interpolatedSlices.push_back(p.index);
-            if (telemetry::enabled())
-                countDecision("interpolate",
-                              p.provenance.injectedFault);
-            emitSlice(std::move(p));
-        }
-        pending.clear();
-    };
-
-    for (size_t s = 0; s < positions.size(); ++s) {
+    out.stack.trueDrift.resize(n);
+    out.qc.resize(n);
+    out.audit.resize(n);
+    for (size_t s = 0; s < n; ++s) {
         const telemetry::Span slice_span("scope.slice");
-        image::SliceProvenance prov;
-        image::Image2D frame;
-        image::QcMetrics qc;
-        std::pair<long, long> applied = drift[s];
-        bool skip_active = false;
-        bool ok = false;
-        image::Image2D prev_attempt;
-        SliceDecision decision;
+        image::Image2D &frame = frames[s];
+        image::SliceProvenance &prov = out.stack.provenance[s];
+        image::QcMetrics &qc = out.qc[s];
+        SliceDecision &decision = out.audit[s];
         decision.slice = s;
+        image::Image2D prev_attempt;
+        bool skip = false;
+        bool ok = false;
 
         for (size_t a = 0; a < max_attempts; ++a) {
-            // All randomness of attempt (s, a) comes from two
-            // counter-seeded substreams: fault placement (even) and
-            // frame noise (odd).  Pure function of (seed, s, a).
-            common::Rng fault_rng(
-                seed, kSliceStreamStride * s + 2 * a);
-            FaultKind kind = sampleFaultKind(faults, fault_rng);
-            if (kind == FaultKind::SliceSkip) {
-                // The mill only runs once: a double mill on the first
-                // attempt corrupts every attempt; sampled on a retry
-                // it is a no-op (re-imaging does not re-mill).
-                if (a == 0)
-                    skip_active = true;
-                kind = FaultKind::None;
-            }
-
-            size_t x = positions[s];
-            if (skip_active) {
-                const size_t overshoot =
-                    faults.skipOvershootSlices * params.sliceVoxels;
-                x = std::min(x + overshoot,
-                             materials.nx() - params.sliceVoxels);
-            }
-
-            image::Image2D img;
-            {
-                const telemetry::Span image_span("scope.sem_image");
-                if (recovery.reuseCleanFrames && clean_cache) {
-                    img = clean_cache->fetch(
-                        cleanFrameKey(volumeKey, x,
-                                      params.sliceVoxels, params.sem),
-                        [&] {
-                            return semImageClean(materials, x,
-                                                 params.sliceVoxels,
-                                                 params.sem);
-                        });
-                } else {
-                    img = semImageClean(materials, x,
-                                        params.sliceVoxels,
-                                        params.sem);
-                }
-                const uint64_t frame_seed =
-                    common::Rng(seed,
-                                kSliceStreamStride * s + 2 * a + 1)
-                        .next();
-                image::addSensorNoise(img, electrons,
-                                      params.sem.readNoise,
-                                      frame_seed);
-                applyImagingFault(img, kind, faults, fault_rng);
-            }
-
-            std::pair<long, long> shift = drift[s];
-            if (kind == FaultKind::DriftExcursion) {
-                const auto ex = sampleExcursion(
-                    faults, params.maxDriftPx, fault_rng);
-                shift.first += ex.first;
-                shift.second += ex.second;
-            }
-            frame = img.shifted(shift.first, shift.second);
+            const Attempt attempt =
+                renderAttempt(s, a, clean_cache, skip, frame);
             {
                 const telemetry::Span qc_span("image.qc");
                 qc = monitor.evaluate(frame);
@@ -515,33 +417,31 @@ acquireRobustStreamed(const image::Volume3D &materials,
                     stripe_rms <= recovery.qc.maxStripeScore;
             }
 
-            const FaultKind attempt_fault =
-                skip_active ? FaultKind::SliceSkip : kind;
+            const int attempt_fault = static_cast<int>(attempt.fault);
             if (a == 0) {
-                prov.injectedFault =
-                    static_cast<int>(attempt_fault);
+                prov.injectedFault = attempt_fault;
                 prov.firstAttemptFlagged = qc.flagged();
                 prov.firstAttemptFlags = qc.flags;
             }
             prov.attempts = a + 1;
-            applied = shift;
+            out.stack.trueDrift[s] = attempt.shift;
 
             QcAttemptRecord attempt_rec;
             attempt_rec.attempt = a;
-            attempt_rec.fault = static_cast<int>(attempt_fault);
+            attempt_rec.fault = attempt_fault;
             attempt_rec.metrics = qc;
             attempt_rec.contentConfirmed = content_confirmed;
             attempt_rec.accepted =
                 !qc.flagged() || content_confirmed;
             decision.attempts.push_back(attempt_rec);
 
-            if (!qc.flagged() || content_confirmed) {
-                prov.acceptedFault = static_cast<int>(attempt_fault);
+            if (attempt_rec.accepted) {
+                prov.acceptedFault = attempt_fault;
                 ok = true;
                 break;
             }
-            prev_attempt = frame; // keep: the last attempt's frame
-                                  // still lands in the stack below
+            prev_attempt = frame; // the last attempt's frame stays
+                                  // in the stack if none passes
         }
 
         if (ok) {
@@ -567,73 +467,68 @@ acquireRobustStreamed(const image::Volume3D &materials,
         }
         decision.injectedFault = prov.injectedFault;
         decision.accepted = ok;
-
-        StreamedSlice streamed;
-        streamed.index = s;
-        streamed.frame = std::move(frame);
-        streamed.drift = applied;
-        streamed.provenance = prov;
-        streamed.qc = qc;
-        streamed.decision = std::move(decision);
-
-        if (ok) {
-            resolvePending(&streamed.frame, &streamed.drift);
-            last_accepted_frame = streamed.frame;
-            last_accepted_drift = streamed.drift;
-            have_accepted = true;
-            emitSlice(std::move(streamed));
-        } else if (!recovery.interpolate) {
-            // No interpolation policy: the flagged frame is kept and
-            // the slice finalizes (as unrecoverable) immediately.
-            streamed.provenance.unrecoverable = true;
-            streamed.decision.unrecoverable = true;
-            ++out.slicesUnrecoverable;
-            if (telemetry::enabled())
-                countDecision("unrecoverable",
-                              streamed.provenance.injectedFault);
-            emitSlice(std::move(streamed));
-        } else {
-            pending.push_back(std::move(streamed));
-        }
     }
 
-    // Failures with no accepted slice to their right resolve against
-    // the left neighbour alone (or become unrecoverable).
-    resolvePending(nullptr, nullptr);
+    // Budget-exhausted slices, in slice order: blend the nearest
+    // accepted neighbours on both sides, copy the one neighbour when
+    // only one side has any, and keep the last attempt's frame as
+    // unrecoverable when neither does or interpolation is off.
+    // Accepted frames are never rewritten, so the blends read final
+    // content.
+    constexpr size_t kNone = ~size_t{0};
+    std::vector<size_t> right(n, kNone);
+    for (size_t s = n - 1, next = kNone; s < n; --s) {
+        right[s] = next;
+        if (out.stack.provenance[s].accepted)
+            next = s;
+    }
+    double weight = 0.0;
+    for (size_t s = 0, left = kNone; s < n; ++s) {
+        image::SliceProvenance &prov = out.stack.provenance[s];
+        if (prov.accepted) {
+            left = s;
+            weight += 1.0;
+            continue;
+        }
+        const telemetry::Span interp_span("scope.interpolate");
+        SliceDecision &decision = out.audit[s];
+        const size_t r = right[s];
+        if (!recovery.interpolate || (left == kNone && r == kNone)) {
+            prov.unrecoverable = true;
+            decision.unrecoverable = true;
+            ++out.slicesUnrecoverable;
+            if (telemetry::enabled())
+                countDecision("unrecoverable", prov.injectedFault);
+            continue;
+        }
+        std::pair<long, long> &d = out.stack.trueDrift[s];
+        if (left != kNone && r != kNone) {
+            const image::Image2D &a = frames[left];
+            const image::Image2D &b = frames[r];
+            for (size_t i = 0; i < a.size(); ++i)
+                frames[s].data()[i] =
+                    0.5f * (a.data()[i] + b.data()[i]);
+            d = {(out.stack.trueDrift[left].first +
+                  out.stack.trueDrift[r].first) /
+                     2,
+                 (out.stack.trueDrift[left].second +
+                  out.stack.trueDrift[r].second) /
+                     2};
+        } else {
+            const size_t src = left != kNone ? left : r;
+            frames[s] = frames[src];
+            d = out.stack.trueDrift[src];
+        }
+        prov.interpolated = true;
+        decision.interpolated = true;
+        ++out.slicesInterpolated;
+        out.interpolatedSlices.push_back(s);
+        weight += 0.5;
+        if (telemetry::enabled())
+            countDecision("interpolate", prov.injectedFault);
+    }
 
-    out.qcConfidence =
-        weight / static_cast<double>(positions.size());
-    return out;
-}
-
-RobustAcquisition
-acquireRobust(const image::Volume3D &materials,
-              const FibSemParams &params, const FaultParams &faults,
-              const RecoveryParams &recovery, uint64_t seed,
-              CleanFrameCache *sharedCleanFrames, uint64_t volumeKey)
-{
-    RobustAcquisition out;
-    out.stack.sliceThicknessNm = 0.0; // caller-level metadata
-
-    StreamAcquisitionStats stats = acquireRobustStreamed(
-        materials, params, faults, recovery, seed,
-        [&out](StreamedSlice &&s) {
-            out.stack.slices.push_back(std::move(s.frame));
-            out.stack.trueDrift.push_back(s.drift);
-            out.stack.provenance.push_back(s.provenance);
-            out.qc.push_back(s.qc);
-            out.audit.push_back(std::move(s.decision));
-        },
-        sharedCleanFrames, volumeKey);
-
-    out.slicesRetried = stats.slicesRetried;
-    out.retries = stats.retries;
-    out.slicesInterpolated = stats.slicesInterpolated;
-    out.slicesUnrecoverable = stats.slicesUnrecoverable;
-    out.faultsInjected = stats.faultsInjected;
-    out.faultsDetected = stats.faultsDetected;
-    out.qcConfidence = stats.qcConfidence;
-    out.interpolatedSlices = std::move(stats.interpolatedSlices);
+    out.qcConfidence = weight / static_cast<double>(n);
     return out;
 }
 

@@ -16,7 +16,6 @@
 #include <optional>
 
 #include "common/result.hh"
-#include "common/rng.hh"
 #include "image/qc.hh"
 #include "image/volume3d.hh"
 #include "scope/faults.hh"
@@ -47,22 +46,7 @@ struct FibSemParams
 /// Domain check for acquisition parameters; nullopt when valid.
 std::optional<common::Error> validate(const FibSemParams &params);
 
-/**
- * Acquire a slice stack from a material volume.  Slice i images the
- * cross section at x = i * sliceVoxels, drifted by the accumulated
- * stage drift and corrupted by SEM noise.  The ground-truth drifts
- * are recorded in the returned stack for validation.
- *
- * `rng` is drawn serially, per slice the drift steps and then one
- * frame seed, so the stack and the generator's state afterwards are
- * those of a sequential semImage loop; the frames themselves render
- * slice-parallel and are bitwise identical at any thread count.
- */
-image::SliceStack acquire(const image::Volume3D &materials,
-                          const FibSemParams &params,
-                          common::Rng &rng);
-
-/** Recovery policy for the QC-driven robust acquisition loop. */
+/** Recovery policy for the QC-driven re-imaging loop. */
 struct RecoveryParams
 {
     /// Extra imaging attempts allowed per slice after a QC flag.
@@ -92,7 +76,7 @@ struct RecoveryParams
 
     /**
      * Capacity (distinct mill positions) of the clean-frame cache
-     * used when no shared cache is passed to acquireRobust.  Cached
+     * used when no shared cache is passed to acquire.  Cached
      * entries are exact pure-function outputs, so any capacity >= 1
      * yields bitwise-identical acquisitions; larger caches only
      * change the hit rate.  Must be >= 1 (validated).
@@ -149,7 +133,7 @@ struct QcAttemptRecord
     image::QcMetrics metrics;
 
     /// QC-flagged anomaly that persisted across a re-image and was
-    /// confirmed as real sample content (see acquireRobust).
+    /// confirmed as real sample content (see acquire).
     bool contentConfirmed = false;
 
     /// This attempt's frame was accepted into the stack.
@@ -159,8 +143,8 @@ struct QcAttemptRecord
 /**
  * Per-slice decision record: which attempts ran, what every QC metric
  * measured, what the verdict was, and the injected-fault ground truth
- * (simulator-only).  Seed-pure and always collected on the robust
- * path — inspection never perturbs the result — and exportable as
+ * (simulator-only).  Seed-pure and collected whenever faults are
+ * enabled — inspection never perturbs the result — and exportable as
  * JSON via qcAuditJson().
  */
 struct SliceDecision
@@ -178,13 +162,14 @@ struct SliceDecision
 /// full metric values and named flags).
 std::string qcAuditJson(const std::vector<SliceDecision> &audit);
 
-/** Outcome of a robust acquisition: the stack plus the recovery log. */
+/** Outcome of an acquisition: the stack plus the recovery log. */
 struct RobustAcquisition
 {
     /// Acquired stack; stack.provenance records per-slice truth.
     image::SliceStack stack;
 
-    /// QC metrics of the finally accepted (or kept) attempt per slice.
+    /// QC metrics of the finally accepted (or kept) attempt per slice
+    /// (empty with faults disabled: no QC runs).
     std::vector<image::QcMetrics> qc;
 
     size_t slicesRetried = 0;      ///< slices needing > 1 attempt
@@ -202,100 +187,49 @@ struct RobustAcquisition
     std::vector<size_t> interpolatedSlices;
 
     /// Per-slice decision audit trail (one entry per slice, in slice
-    /// order); a pure function of the seed like everything above.
+    /// order, empty with faults disabled); a pure function of the
+    /// seed like everything above.
     std::vector<SliceDecision> audit;
 };
 
 /**
- * One finalized slice emitted by the streaming acquisition: the frame
- * content is final (recovery — re-imaging, neighbour interpolation —
- * already applied), so a consumer can denoise/register/assemble it
- * immediately and never hold the whole stack.
- */
-struct StreamedSlice
-{
-    size_t index = 0;
-    image::Image2D frame;
-    std::pair<long, long> drift{0, 0}; ///< ground-truth drift
-    image::SliceProvenance provenance;
-    image::QcMetrics qc;  ///< metrics of the finally kept attempt
-    SliceDecision decision;
-};
-
-/// Consumer of finalized slices; called in strictly increasing index
-/// order.
-using SliceConsumer = std::function<void(StreamedSlice &&)>;
-
-/// Default post-processing window width (scope::postprocessStreamed),
-/// matched to the transient solver's default lane batch
-/// (circuit::TranParams::batchLanes = 8) so a window maps onto full
-/// SIMD lane groups.
-constexpr size_t kStreamWindowSlices = 8;
-
-/** Aggregate counters of a streamed acquisition (the fields of
- * RobustAcquisition that are not per-slice). */
-struct StreamAcquisitionStats
-{
-    size_t slices = 0;
-    size_t slicesRetried = 0;
-    size_t retries = 0;
-    size_t slicesInterpolated = 0;
-    size_t slicesUnrecoverable = 0;
-    size_t faultsInjected = 0;
-    size_t faultsDetected = 0;
-    double qcConfidence = 1.0;
-    std::vector<size_t> interpolatedSlices;
-};
-
-/**
- * Streaming core of the robust acquisition: identical imaging, QC,
- * retry and interpolation decisions to acquireRobust (which is now a
- * thin collector over this function), but slices are handed to
- * `sink` as soon as their content is final instead of accumulating
- * in a stack.  The held-back working set is bounded by the longest
- * run of consecutive QC-failed slices (each must wait for its right
- * accepted neighbour before its interpolation can be computed) plus
- * the last accepted frame — O(1) in the common case, never the whole
- * volume.  Bitwise-identical outputs to acquireRobust by
- * construction (asserted in tests/test_volume.cc).
- */
-StreamAcquisitionStats
-acquireRobustStreamed(const image::Volume3D &materials,
-                      const FibSemParams &params,
-                      const FaultParams &faults,
-                      const RecoveryParams &recovery, uint64_t seed,
-                      const SliceConsumer &sink,
-                      CleanFrameCache *sharedCleanFrames = nullptr,
-                      uint64_t volumeKey = 0);
-
-/**
- * Fault-aware acquisition with QC-driven re-imaging (the production
- * path; `acquire` remains the pristine fault-free reference).  Every
- * slice is imaged, checked by the QC detector, and re-imaged up to
- * `recovery.maxRetries` times while flagged; slices that exhaust the
- * budget fall back to neighbour interpolation or are marked
- * unrecoverable.  All randomness — drift walk, frame noise, fault
- * placement — is counter-seeded from `seed`, so the result (including
- * retry counts and interpolated-slice sets) is a pure function of
- * (volume, params, faults, recovery, seed) at any thread count.
+ * Acquire a slice stack from a material volume (Section IV-B): slice
+ * i images the cross section at x = i * sliceVoxels, drifted by the
+ * accumulated stage drift and corrupted by SEM noise.  The
+ * ground-truth drifts are recorded in the returned stack.
+ *
+ * All randomness is counter-seeded from `seed`: the drift walk from
+ * its own substream, and attempt a of slice s from substream
+ * 16 s + 2 a (fault placement) and 16 s + 2 a + 1 (frame noise).
+ * The result is a pure function of (volume, params, faults,
+ * recovery, seed) at any thread count.
+ *
+ * With `faults.enabled` every slice is imaged, checked by the QC
+ * detector and re-imaged up to `recovery.maxRetries` times while
+ * flagged; slices that exhaust the budget fall back to neighbour
+ * interpolation or are marked unrecoverable.  With faults disabled
+ * each slice is imaged once with no QC, and the slices render in
+ * parallel: `qc` and `audit` stay empty, every provenance entry is a
+ * clean accepted first attempt, the counters are zero and
+ * qcConfidence is 1.  A fault-free frame is bitwise the faulted
+ * path's first attempt whenever that attempt draws no fault.
  *
  * Throws std::invalid_argument when any parameter set fails
  * validation (use the validate() overloads for typed errors).
  *
- * @param sharedCleanFrames optional shared clean-frame cache; when
- *        null a private cache of recovery.cleanCacheCapacity entries
- *        is used.  Sharing requires `volumeKey` to identify the
- *        material volume so jobs imaging different volumes can never
- *        collide on a cache key.
+ * @param sharedCleanFrames optional shared clean-frame cache for the
+ *        re-imaging loop; when null a private cache of
+ *        recovery.cleanCacheCapacity entries is used.  Sharing
+ *        requires `volumeKey` to identify the material volume so
+ *        jobs imaging different volumes can never collide on a cache
+ *        key.  Fault-free runs image each face once and bypass it.
  */
-RobustAcquisition acquireRobust(const image::Volume3D &materials,
-                                const FibSemParams &params,
-                                const FaultParams &faults,
-                                const RecoveryParams &recovery,
-                                uint64_t seed,
-                                CleanFrameCache *sharedCleanFrames =
-                                    nullptr,
-                                uint64_t volumeKey = 0);
+RobustAcquisition acquire(const image::Volume3D &materials,
+                          const FibSemParams &params,
+                          const FaultParams &faults,
+                          const RecoveryParams &recovery, uint64_t seed,
+                          CleanFrameCache *sharedCleanFrames = nullptr,
+                          uint64_t volumeKey = 0);
 
 /** Cost model of a volumetric acquisition campaign. */
 struct CampaignCost

@@ -16,12 +16,17 @@
 #include "image/registration.hh"
 #include "image/tiled_volume.hh"
 #include "image/volume3d.hh"
-#include "scope/fib.hh"
 
 namespace hifi
 {
 namespace scope
 {
+
+/// Default post-processing window width (postprocessStreamed),
+/// matched to the transient solver's default lane batch
+/// (circuit::TranParams::batchLanes = 8) so a window maps onto full
+/// SIMD lane groups.
+constexpr size_t kStreamWindowSlices = 8;
 
 /// Which TV denoiser to run (both are supported, as in the paper).
 enum class DenoiseAlgo { SplitBregman, Chambolle, None };

@@ -32,7 +32,8 @@ TEST_P(PipelinePerChip, RecoversTopologyAndStructure)
     config.pairs = 3;
     config.seed = 42;
 
-    const core::PipelineReport report = core::runPipeline(config);
+    const core::PipelineReport report =
+        core::runPipelineChecked(config).value();
 
     EXPECT_TRUE(report.topologyCorrect)
         << report.chipId << ": extracted "
@@ -74,7 +75,7 @@ TEST(Pipeline, DeviceCountsMatchTruth)
     config.chipId = "B5";
     config.pairs = 3;
     config.seed = 7;
-    const auto report = core::runPipeline(config);
+    const auto report = core::runPipelineChecked(config).value();
     EXPECT_EQ(report.extractedDevices, report.trueDevices);
     // OCSA slice with 3 pairs: 6 column, 3 iso, 3 oc, 6 nSA, 6 pSA,
     // 3 precharge, 3 LSA.
@@ -94,7 +95,7 @@ TEST(Pipeline, ClassicChipHasEqualizerNoIsoOc)
     config.chipId = "C4";
     config.pairs = 3;
     config.seed = 7;
-    const auto report = core::runPipeline(config);
+    const auto report = core::runPipelineChecked(config).value();
     EXPECT_GT(report.analysis.countRole(Role::Equalizer), 0u);
     EXPECT_EQ(report.analysis.countRole(Role::Iso), 0u);
     EXPECT_EQ(report.analysis.countRole(Role::Oc), 0u);
@@ -109,7 +110,7 @@ TEST(Pipeline, ReconstructedNetlistSensesCorrectly)
     config.chipId = "B5";
     config.pairs = 2;
     config.seed = 3;
-    const auto report = core::runPipeline(config);
+    const auto report = core::runPipelineChecked(config).value();
 
     circuit::SaParams params =
         re::saParamsFromAnalysis(report.analysis);
@@ -137,7 +138,7 @@ TEST_P(PipelineSeedSweep, RobustAcrossAcquisitionNoise)
     config.chipId = "C5";
     config.pairs = 2;
     config.seed = GetParam();
-    const auto report = core::runPipeline(config);
+    const auto report = core::runPipelineChecked(config).value();
     EXPECT_TRUE(report.topologyCorrect) << "seed " << GetParam();
     EXPECT_EQ(report.extractedDevices, report.trueDevices)
         << "seed " << GetParam();
@@ -162,7 +163,7 @@ TEST_P(StackedSasTest, TwoStackedSasRecoverFully)
     config.pairs = 4;
     config.stackedSas = 2;
     config.seed = 42;
-    const auto rep = core::runPipeline(config);
+    const auto rep = core::runPipelineChecked(config).value();
 
     EXPECT_TRUE(rep.topologyCorrect) << rep.chipId;
     EXPECT_EQ(rep.extractedCommonGateStrips,
@@ -208,8 +209,8 @@ TEST(Pipeline, DeterministicGivenSeed)
     config.chipId = "C5";
     config.pairs = 2;
     config.seed = 11;
-    const auto a = core::runPipeline(config);
-    const auto b = core::runPipeline(config);
+    const auto a = core::runPipelineChecked(config).value();
+    const auto b = core::runPipelineChecked(config).value();
     EXPECT_EQ(a.extractedDevices, b.extractedDevices);
     EXPECT_EQ(a.alignmentResidualPx, b.alignmentResidualPx);
     EXPECT_EQ(a.maxDimErrorNm, b.maxDimErrorNm);
@@ -223,7 +224,7 @@ TEST(Pipeline, RepeatabilityAcrossAcquisitions)
     base.chipId = "C5";
     base.pairs = 2;
     base.seed = 900;
-    const auto rep = core::repeatPipeline(base, 3);
+    const auto rep = core::repeatPipeline(base, 3).value();
     EXPECT_EQ(rep.topologyCorrect, 3u);
     EXPECT_EQ(rep.crossCouplingTraced, 3u);
     const auto it = rep.dims.find(Role::Nsa);

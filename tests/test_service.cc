@@ -926,10 +926,10 @@ TEST(CleanFrameCache, CapacityAndSharingNeverChangeTheAcquisition)
     hifi::scope::CleanFrameCache shared(2);
 
     const auto a =
-        hifi::scope::acquireRobust(vol, params, faults, tiny, 42);
+        hifi::scope::acquire(vol, params, faults, tiny, 42);
     const auto b =
-        hifi::scope::acquireRobust(vol, params, faults, roomy, 42);
-    const auto c = hifi::scope::acquireRobust(
+        hifi::scope::acquire(vol, params, faults, roomy, 42);
+    const auto c = hifi::scope::acquire(
         vol, params, faults, roomy, 42, &shared, /*volumeKey=*/99);
 
     for (const auto *other : {&b, &c}) {

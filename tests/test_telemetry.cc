@@ -425,7 +425,7 @@ TEST(PipelineTelemetry, ReportBitwiseIdenticalOnOffAt128Threads)
 
     config.threads = 1;
     config.telemetry.enabled = false;
-    const auto golden = core::runPipeline(config);
+    const auto golden = core::runPipelineChecked(config).value();
     EXPECT_TRUE(golden.telemetry == nullptr);
     const std::string want = reportSignature(golden);
     EXPECT_FALSE(golden.qcAudit.empty());
@@ -436,7 +436,8 @@ TEST(PipelineTelemetry, ReportBitwiseIdenticalOnOffAt128Threads)
                 continue; // the golden run
             config.threads = threads;
             config.telemetry.enabled = telem;
-            const auto report = core::runPipeline(config);
+            const auto report =
+                core::runPipelineChecked(config).value();
             EXPECT_EQ(reportSignature(report), want)
                 << "threads=" << threads << " telemetry=" << telem;
             EXPECT_EQ(report.telemetry != nullptr, telem);
@@ -454,7 +455,7 @@ TEST(PipelineTelemetry, TraceCoversThePipelineStages)
     config.faults.enabled = true;
     config.telemetry.enabled = true;
 
-    const auto report = core::runPipeline(config);
+    const auto report = core::runPipelineChecked(config).value();
     ASSERT_TRUE(report.telemetry != nullptr);
     const auto &t = *report.telemetry;
     EXPECT_FALSE(t.spans.empty());

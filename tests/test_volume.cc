@@ -657,48 +657,6 @@ TEST(Volume3DChecked, ConstructionAndViewRangesAreTyped)
               ErrorCode::InvalidArgument);
 }
 
-// ---- Streaming acquisition -------------------------------------------
-
-TEST(StreamingAcquire, MatchesCollectedAcquireBitwise)
-{
-    const auto vol = makeScene();
-    const auto params = sceneParams();
-    const auto faults = noisyFaults();
-    scope::RecoveryParams recovery;
-
-    const auto reference =
-        scope::acquireRobust(vol, params, faults, recovery, 33);
-
-    std::vector<scope::StreamedSlice> streamed;
-    const auto stats = scope::acquireRobustStreamed(
-        vol, params, faults, recovery, 33,
-        [&](scope::StreamedSlice &&s) {
-            streamed.push_back(std::move(s));
-        });
-
-    ASSERT_EQ(streamed.size(), reference.stack.slices.size());
-    for (size_t i = 0; i < streamed.size(); ++i) {
-        EXPECT_EQ(streamed[i].index, i);
-        EXPECT_TRUE(bitwiseEqual(streamed[i].frame,
-                                 reference.stack.slices[i]))
-            << "slice " << i;
-        EXPECT_EQ(streamed[i].drift, reference.stack.trueDrift[i]);
-    }
-    EXPECT_EQ(stats.slicesRetried, reference.slicesRetried);
-    EXPECT_EQ(stats.retries, reference.retries);
-    EXPECT_EQ(stats.slicesInterpolated,
-              reference.slicesInterpolated);
-    EXPECT_EQ(stats.slicesUnrecoverable,
-              reference.slicesUnrecoverable);
-    EXPECT_EQ(stats.faultsInjected, reference.faultsInjected);
-    EXPECT_EQ(stats.faultsDetected, reference.faultsDetected);
-    EXPECT_EQ(stats.interpolatedSlices,
-              reference.interpolatedSlices);
-    EXPECT_DOUBLE_EQ(stats.qcConfidence, reference.qcConfidence);
-    EXPECT_GT(stats.slicesInterpolated, 0u)
-        << "scene/faults no longer exercise the interpolation path";
-}
-
 // ---- Streaming post-processing ---------------------------------------
 
 /// Dense reference of the post-processing chain: denoise every
@@ -729,7 +687,7 @@ denseChain(const image::SliceStack &stack,
 TEST(StreamingPostprocess, BitwiseIdenticalToDenseChain)
 {
     const auto vol = makeScene();
-    const auto robust = scope::acquireRobust(
+    const auto robust = scope::acquire(
         vol, sceneParams(), noisyFaults(), scope::RecoveryParams{},
         33);
     const scope::PostprocessParams pp;

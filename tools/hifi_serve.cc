@@ -18,9 +18,9 @@
  * --chaos, deterministic crash injection aborts jobs at stage
  * boundaries; the service retries them from their checkpoints.  For
  * every completed job the harness re-runs the same configuration
- * directly through runPipeline and asserts the report digests match
- * — i.e. a job that crashed, resumed and retried produced the exact
- * bits an undisturbed run produces (skip with --no-verify).
+ * directly through runPipelineChecked and asserts the report digests
+ * match — i.e. a job that crashed, resumed and retried produced the
+ * exact bits an undisturbed run produces (skip with --no-verify).
  *
  * --quick presets a CI-friendly soak: 4 jobs, 2 workers, chaos kills
  * at 50%, per-job wait budget 120 s.
