@@ -145,12 +145,12 @@ goldenConfig(const char *chip)
 
 TEST(GoldenPipeline, A4DefaultConfig)
 {
-    EXPECT_EQ(pipelineDigest(goldenConfig("A4")), 0x346e43b9c5a86cc3ull);
+    EXPECT_EQ(pipelineDigest(goldenConfig("A4")), 0xcdaebb4ea10fb3cbull);
 }
 
 TEST(GoldenPipeline, B5DefaultConfig)
 {
-    EXPECT_EQ(pipelineDigest(goldenConfig("B5")), 0xe3d6a4a01a825bf1ull);
+    EXPECT_EQ(pipelineDigest(goldenConfig("B5")), 0x260ad50dfca8cd00ull);
 }
 
 TEST(GoldenPipeline, B5FaultsOn)
