@@ -75,8 +75,9 @@ main()
         const auto cell = fab::buildMatSlice(
             fab::MatSpec::fromChip(chip, 8, 12));
         const double voxel = 4.0;
-        const auto mats = fab::voxelize(*cell, cell->boundingBox(),
-                                        {voxel, 280.0});
+        const auto mats =
+            fab::voxelize(*cell, cell->boundingBox(), {voxel, 280.0})
+                .takeValue();
         scope::FibSemParams fib;
         fib.sem.detector = chip.detector;
         fib.sem.dwellUs = chip.dwellUs;
@@ -91,8 +92,9 @@ main()
                                 .volume.toDense()
                                 .takeValue();
         re::PlanarScales scales{2.0 * voxel, voxel, voxel};
-        const auto mat = re::analyzeMatRegion(volume, scales,
-                                              chip.detector);
+        const auto mat =
+            re::analyzeMatRegion(volume, scales, chip.detector)
+                .takeValue();
         std::cout << "\nFig. 7a (C5 MAT through the noisy chain): "
                   << mat.bitlines << " bitlines at "
                   << Table::num(mat.blPitchNm, 1) << " nm pitch, "

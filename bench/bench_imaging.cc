@@ -2,11 +2,11 @@
  * @file
  * Imaging fast-path benchmark: wall-clock of the registration / SEM /
  * denoise kernels and the fault-injected robust-acquisition campaign,
- * compared (where one exists in-binary) against the retained reference
- * implementation, plus the opt-in pyramid search and the clean-frame
- * cache on/off.  Every fast-vs-reference pair is also checked for
- * exact result agreement, so the bench doubles as an equivalence
- * smoke test.
+ * compared (where one exists in-binary) against the reference
+ * implementation (the test oracles in tests/oracles.hh), plus the
+ * clean-frame cache on/off.  Every fast-vs-reference pair is also
+ * checked for exact result agreement, so the bench doubles as an
+ * equivalence smoke test.
  *
  * Numbers are transcribed into BENCH_imaging.json; the "before"
  * column there was recorded with the identical workloads on the
@@ -16,7 +16,7 @@
  * `--telemetry <prefix>` instruments the campaign + registration run
  * and writes <prefix>.trace.json / <prefix>.metrics.json (validated
  * in CI by hifi_trace_check); the metrics include the
- * sem.clean_cache.* and mi.* fast-path counters.
+ * sem.clean_cache.* and mi.exhaustive.evals counters.
  */
 
 #include <algorithm>
@@ -38,6 +38,8 @@
 #include "scope/faults.hh"
 #include "scope/fib.hh"
 #include "scope/sem.hh"
+
+#include "oracles.hh"
 
 using namespace hifi;
 using image::Image2D;
@@ -198,7 +200,7 @@ main(int argc, char **argv)
         }, reps);
         row.referenceMs = medianMs([&] {
             ref_shift =
-                image::registerShiftMiReference(fixed, moving, mi);
+                oracle::registerShiftMiReference(fixed, moving, mi);
         }, quick ? 1 : 3);
         check(fast_shift == ref_shift, row.name);
         row.note = "shift (" + std::to_string(fast_shift.first) + "," +
@@ -238,39 +240,13 @@ main(int argc, char **argv)
             }, quick ? 3 : 21);
             row.referenceMs = medianMs([&] {
                 ref_shift =
-                    image::registerShiftMiReference(pfixed, pmoving, mi);
+                    oracle::registerShiftMiReference(pfixed, pmoving, mi);
             }, quick ? 1 : 5);
             check(fast_shift == ref_shift, row.name);
             row.note = "shift (" + std::to_string(fast_shift.first) +
                 "," + std::to_string(fast_shift.second) + ")";
             rows.push_back(row);
         }
-    }
-
-    // ---- Opt-in pyramid strategy (vs exhaustive, same window) ------
-    {
-        image::MiParams mi;
-        mi.bins = 32;
-        mi.maxShift = quick ? 4 : 16;
-        image::MiParams pyr = mi;
-        pyr.strategy = image::MiStrategy::Pyramid;
-        std::pair<long, long> p_shift, e_shift;
-        Row row;
-        row.name =
-            "register_shift_mi_pyramid_maxshift_" +
-            std::to_string(mi.maxShift);
-        row.fastMs = medianMs([&] {
-            p_shift = image::registerShiftMi(fixed, moving, pyr);
-        }, quick ? 3 : 9);
-        row.referenceMs = medianMs([&] {
-            e_shift = image::registerShiftMi(fixed, moving, mi);
-        }, quick ? 3 : 9);
-        // Heuristic, so agreement is expected on this structured
-        // pattern but not guaranteed by construction.
-        row.note = p_shift == e_shift
-            ? "matches exhaustive"
-            : "DIVERGES from exhaustive";
-        rows.push_back(row);
     }
 
     // ---- Plain MI ---------------------------------------------------
@@ -282,7 +258,7 @@ main(int argc, char **argv)
             fast_mi = image::mutualInformation(fixed, moving, 32);
         }, quick ? 11 : 101);
         row.referenceMs = medianMs([&] {
-            ref_mi = image::mutualInformationAtShiftReference(
+            ref_mi = oracle::mutualInformationAtShiftReference(
                 fixed, moving, 0, 0, 32);
         }, quick ? 11 : 101);
         check(fast_mi == ref_mi, row.name);
@@ -335,7 +311,7 @@ main(int argc, char **argv)
         rows.push_back(row_b);
 
         double mi_fast = 0.0, mi_scalar = 0.0;
-        const double mi_ref = image::mutualInformationAtShiftReference(
+        const double mi_ref = oracle::mutualInformationAtShiftReference(
             fixed, moving, 0, 0, 32);
         Row row_mi;
         row_mi.name = "mutual_information_simd";
@@ -409,18 +385,6 @@ main(int argc, char **argv)
             (void)image::denoiseSplitBregman(fixed, tv);
         }, reps);
         rows.push_back(row_b);
-
-        // Opt-in convergence exit at a practical tolerance.
-        image::TvParams tol = tv;
-        tol.tolerance = 1e-4;
-        Row row_t;
-        row_t.name = "denoise_chambolle_tol_1e-4";
-        row_t.fastMs = medianMs([&] {
-            (void)image::denoiseChambolle(fixed, tol);
-        }, reps);
-        row_t.referenceMs = row_c.fastMs;
-        row_t.note = "vs fixed 50 iterations";
-        rows.push_back(row_t);
     }
 
     // ---- Fault-injected robust acquisition campaign ----------------
@@ -467,9 +431,7 @@ main(int argc, char **argv)
             telemetry::Session session;
             (void)scope::acquire(scene, params, faults,
                                  recovery, 42);
-            image::MiParams mi;
-            mi.strategy = image::MiStrategy::Pyramid;
-            (void)image::registerShiftMi(fixed, moving, mi);
+            (void)image::registerShiftMi(fixed, moving);
             telemetry::TelemetryConfig cfg;
             cfg.enabled = true;
             cfg.tracePath = telemetry_prefix + ".trace.json";
@@ -478,7 +440,7 @@ main(int argc, char **argv)
             const auto &counters = collected->metrics.counters;
             for (const char *name :
                  {"sem.clean_cache.hit", "sem.clean_cache.miss",
-                  "mi.pyramid.evals"}) {
+                  "mi.exhaustive.evals"}) {
                 const auto it = counters.find(name);
                 std::cout << "counter " << name << " = "
                           << (it == counters.end() ? 0 : it->second)

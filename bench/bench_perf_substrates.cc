@@ -97,7 +97,7 @@ BM_VoxelizeSaRegion(benchmark::State &state)
     const auto cell = fab::buildSaRegion(spec, truth);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            fab::voxelize(*cell, truth.region, {5.0, 270.0}));
+            fab::voxelize(*cell, truth.region, truth.voxelize));
     }
 }
 BENCHMARK(BM_VoxelizeSaRegion)->Arg(2)->Arg(4)->Arg(8);
@@ -303,7 +303,7 @@ telemetrySmoke(const std::string &prefix)
         fab::SaRegionTruth truth;
         const auto cell = fab::buildSaRegion(spec, truth);
         benchmark::DoNotOptimize(
-            fab::voxelize(*cell, truth.region, {5.0, 270.0}));
+            fab::voxelize(*cell, truth.region, truth.voxelize));
     }
     const auto collected = session.finish(tcfg);
     if (!collected || collected->spans.empty()) {

@@ -201,15 +201,19 @@ runDense(const Dims &d)
     LegResult leg;
     auto t0 = std::chrono::steady_clock::now();
     image::Volume3D vol(d.nx, d.ny, d.nz);
-    for (size_t x = 0; x < d.nx; ++x)
-        vol.setCrossSection(x, makeSlice(x, d));
+    for (size_t x = 0; x < d.nx; ++x) {
+        const image::Image2D slice = makeSlice(x, d);
+        for (size_t z = 0; z < d.nz; ++z)
+            for (size_t y = 0; y < d.ny; ++y)
+                vol.at(x, y, z) = slice.at(y, z);
+    }
     leg.assembleMs = sinceMs(t0);
 
     t0 = std::chrono::steady_clock::now();
     uint64_t h = 1469598103934665603ull;
     for (const size_t x : readbackXs(d))
-        h = fnvImage(h, vol.crossSection(x));
-    h = fnvImage(h, vol.planarSlab(d.nz / 2, d.nz / 2 + 4));
+        h = fnvImage(h, vol.crossSection(x).value());
+    h = fnvImage(h, vol.planarSlab(d.nz / 2, d.nz / 2 + 4).value());
     leg.readMs = sinceMs(t0);
     leg.digest = h;
     return leg;

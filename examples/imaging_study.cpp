@@ -40,8 +40,10 @@ main(int argc, char **argv)
     spec.minGapNm = 4.0 * voxel;
     fab::SaRegionTruth truth;
     const auto cell = fab::buildSaRegion(spec, truth);
-    const auto mats = fab::voxelize(*cell, truth.region,
-                                    {voxel, 270.0});
+    fab::VoxelizeParams vox = truth.voxelize;
+    vox.voxelNm = voxel;
+    // A failure throws with its message.
+    const auto mats = fab::voxelize(*cell, truth.region, vox).takeValue();
 
     Table t({"dwell", "slice", "slices", "SNR", "align res (px)",
              "budget", "topology"});
@@ -79,9 +81,10 @@ main(int argc, char **argv)
             re::PlanarScales scales{
                 static_cast<double>(fib.sliceVoxels) * voxel, voxel,
                 voxel};
-            const auto analysis = re::analyzeRegion(
-                post.volume.toDense().takeValue(), scales,
-                chip.detector);
+            const auto analysis =
+                re::analyzeRegion(post.volume.toDense().takeValue(),
+                                  scales, chip.detector)
+                    .takeValue();
 
             t.addRow({Table::num(dwell, 0) + " us",
                       Table::num(fib.sliceVoxels * voxel, 0) + " nm",

@@ -31,8 +31,11 @@ main(int argc, char **argv)
 
     auto image_cell = [&](const layout::Cell &cell,
                           const common::Rect &bounds,
+                          fab::VoxelizeParams vox,
                           const std::string &tag) {
-        const auto mats = fab::voxelize(cell, bounds, {voxel, 270.0});
+        // A failure throws with its message.
+        vox.voxelNm = voxel;
+        const auto mats = fab::voxelize(cell, bounds, vox).takeValue();
         scope::FibSemParams fib;
         fib.sem.detector = chip.detector;
         fib.sem.dwellUs = chip.dwellUs;
@@ -75,12 +78,12 @@ main(int argc, char **argv)
     fab::SaRegionTruth truth;
     const auto sa = fab::buildSaRegion(
         fab::SaRegionSpec::fromChip(chip, 3), truth);
-    image_cell(*sa, truth.region, "sa");
+    image_cell(*sa, truth.region, truth.voxelize, "sa");
 
     // MAT slice (Fig. 7a: bitlines below, honeycomb capacitors above).
     const auto mat =
         fab::buildMatSlice(fab::MatSpec::fromChip(chip, 10, 14));
-    image_cell(*mat, mat->boundingBox(), "mat");
+    image_cell(*mat, mat->boundingBox(), {}, "mat");
 
     std::cout << "done; view with any PGM-capable viewer\n";
     return 0;

@@ -164,8 +164,6 @@ struct ThreadPool::Impl
         const bool instrumented = telemetry::enabled();
         const telemetry::detail::ScopedSessionBinding bind(
             j.telemetryBinding);
-        const uint64_t t0 = instrumented ? busyClockNs() : 0;
-        size_t executed = 0;
 
         const BusyInterval busy;
         t_inside_pool = true;
@@ -174,14 +172,23 @@ struct ThreadPool::Impl
             if (i >= j.chunks)
                 break;
             if (!j.abort.load(std::memory_order_relaxed)) {
+                const uint64_t t0 = instrumented ? busyClockNs() : 0;
                 try {
                     (*j.body)(i);
-                    ++executed;
                 } catch (...) {
                     std::lock_guard<std::mutex> lock(mutex);
                     if (!j.error)
                         j.error = std::current_exception();
                     j.abort = true;
+                }
+                // Counted before `done` can release the caller, so no
+                // add lands after the job has returned (and inside the
+                // next telemetry session's window).
+                if (instrumented) {
+                    PoolMetrics &m = PoolMetrics::get();
+                    m.chunks.add(1);
+                    if (!busy.nested)
+                        m.busyNs.add(busyClockNs() - t0);
                 }
             }
             if (j.done.fetch_add(1) + 1 == j.chunks) {
@@ -190,13 +197,6 @@ struct ThreadPool::Impl
             }
         }
         t_inside_pool = false;
-
-        if (instrumented && executed > 0) {
-            PoolMetrics &m = PoolMetrics::get();
-            m.chunks.add(executed);
-            if (!busy.nested)
-                m.busyNs.add(busyClockNs() - t0);
-        }
     }
 
     void

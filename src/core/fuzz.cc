@@ -352,24 +352,11 @@ runDirectTier(const ScenarioParams &p, const models::ChipSpec &chip,
     fab::SaRegionTruth truth;
     const auto cell = fab::buildSaRegion(spec, truth);
 
-    fab::VoxelizeParams vox;
+    fab::VoxelizeParams vox = truth.voxelize;
     vox.voxelNm = voxel;
-    vox.lerSigmaNm = variation.lerSigmaNm;
-    vox.lerCorrLenNm = variation.lerCorrLenNm;
-    vox.lerSeed = p.seed;
-    // The layout legitimately overhangs the region rect by a fraction
-    // of the pitch (clipped by design); corner CD bias/jitter/drift
-    // and LER stretch that a little further.  The check only needs to
-    // catch runaway geometry, so the bound is generous.
-    vox.outOfBoundsTolNm = 0.3 * chip.blPitchNm +
-        (std::abs(variation.cdBiasFrac) +
-         variation.cdDriftFracAcross +
-         5.0 * variation.cdSigmaFrac) *
-            chip.saHeightNm +
-        8.0 * variation.lerSigmaNm + 1.0;
-    auto volume = fab::voxelizeChecked(*cell, truth.region, vox);
+    auto volume = fab::voxelize(*cell, truth.region, vox);
     if (!volume.ok()) {
-        result.violations.push_back("voxelizeChecked: " +
+        result.violations.push_back("voxelize: " +
                                     volume.error().message);
         return;
     }
@@ -416,8 +403,13 @@ runDirectTier(const ScenarioParams &p, const models::ChipSpec &chip,
     scales.xNm = voxel;
     scales.yNm = voxel;
     scales.zNm = voxel;
-    const re::RegionAnalysis analysis =
-        re::analyzeRegion(ideal, scales, chip.detector);
+    auto analyzed = re::analyzeRegion(ideal, scales, chip.detector);
+    if (!analyzed.ok()) {
+        result.violations.push_back("analyzeRegion: " +
+                                    analyzed.error().message);
+        return;
+    }
+    const re::RegionAnalysis &analysis = analyzed.value();
 
     defects.detected = analysis.defects;
     scoreSiliconDefects(defects);

@@ -170,23 +170,9 @@ stageFab(const PipelineConfig &config, StagedState &state)
     report.trueDevices = truth.devices.size();
     report.bitlinesTrue = truth.bitlines.size();
 
-    fab::VoxelizeParams vox;
+    fab::VoxelizeParams vox = truth.voxelize;
     vox.voxelNm = voxel;
-    vox.lerSigmaNm = variation.lerSigmaNm;
-    vox.lerCorrLenNm = variation.lerCorrLenNm;
-    vox.lerSeed = config.seed;
-    // The layout legitimately overhangs the region rect by a fraction
-    // of the pitch (clipped by design); corner CD bias/jitter/drift
-    // and LER stretch that a little further.  The typed check only
-    // needs to catch runaway geometry, so the bound is generous —
-    // within it, voxelizeChecked clips exactly like the legacy
-    // voxelize did, bit for bit.
-    vox.outOfBoundsTolNm = 0.3 * chip.blPitchNm +
-        (std::abs(variation.cdBiasFrac) +
-         variation.cdDriftFracAcross + 5.0 * variation.cdSigmaFrac) *
-            chip.saHeightNm +
-        8.0 * variation.lerSigmaNm + 1.0;
-    auto volume = fab::voxelizeChecked(*cell, truth.region, vox);
+    auto volume = fab::voxelize(*cell, truth.region, vox);
     if (!volume.ok())
         return volume.error();
     state.materials =
@@ -362,8 +348,11 @@ stageAnalyze(const PipelineConfig &config, StagedState &state)
     // analysis allocates.
     state.processedTiled.reset();
     state.tileStore.reset();
-    report.analysis = re::analyzeRegion(dense.value(), scales,
-                                        resolveDetector(config, chip));
+    auto analysis = re::analyzeRegion(dense.value(), scales,
+                                      resolveDetector(config, chip));
+    if (!analysis.ok())
+        return analysis.error();
+    report.analysis = analysis.takeValue();
     state.next = Stage::Finalize;
     return std::nullopt;
 }

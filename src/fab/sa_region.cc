@@ -1,6 +1,7 @@
 #include "fab/sa_region.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/rng.hh"
@@ -186,6 +187,20 @@ buildSaRegion(const SaRegionSpec &spec, SaRegionTruth &truth)
     };
 
     truth.region = Rect(0.0, 0.0, total_w, region_h);
+
+    // Shapes legitimately overhang the region rect by a fraction of
+    // the pitch (clipped by design).  CD bias, drift and jitter scale
+    // drawn dimensions, none longer than the region, and LER moves
+    // edges by a few sigma.  The bound only has to catch runaway
+    // geometry, so it is generous.
+    truth.voxelize.lerSigmaNm = var.lerSigmaNm;
+    truth.voxelize.lerCorrLenNm = var.lerCorrLenNm;
+    truth.voxelize.lerSeed = spec.jitterSeed;
+    truth.voxelize.outOfBoundsTolNm = 0.3 * pitch +
+        (std::abs(var.cdBiasFrac) + var.cdDriftFracAcross +
+         5.0 * var.cdSigmaFrac) *
+            std::max(total_w, region_h) +
+        5.0 * spec.dimJitterNm + 8.0 * var.lerSigmaNm + 1.0;
 
     // ------- Bitlines -------------------------------------------------
     for (size_t i = 0; i < n_bl; ++i) {

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/geometry.hh"
+#include "fab/voxelizer.hh"
 #include "layout/cell.hh"
 #include "models/chip_data.hh"
 #include "models/process.hh"
@@ -135,6 +136,15 @@ struct SaRegionTruth
     /// Independent common-gate components (1 classic, 3 OCSA, per
     /// stacked SA set).
     size_t commonGateComponents = 0;
+
+    /**
+     * How to voxelize `region`: the corner's line-edge roughness
+     * (seeded with the spec's jitter seed) and the overhang the
+     * layout legitimately has past the region rect, as
+     * outOfBoundsTolNm.  voxelNm and zMaxNm keep their defaults; set
+     * voxelNm to the imaging pitch.
+     */
+    VoxelizeParams voxelize;
 
     size_t countRole(models::Role role) const;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -194,32 +193,27 @@ boundsOverflowNm(const common::Rect &r, const common::Rect &bounds)
 
 } // namespace
 
-image::Volume3D
+common::Result<image::Volume3D>
 voxelize(const layout::Cell &cell, const common::Rect &bounds,
          const VoxelizeParams &params)
 {
-    if (bounds.empty())
-        throw std::invalid_argument("voxelize: empty bounds");
-    if (params.voxelNm <= 0.0)
-        throw std::invalid_argument("voxelize: bad voxel size");
-    return rasterize(cell, bounds, params);
-}
-
-common::Result<image::Volume3D>
-voxelizeChecked(const layout::Cell &cell, const common::Rect &bounds,
-                const VoxelizeParams &params)
-{
     using R = common::Result<image::Volume3D>;
-    if (bounds.empty())
+    const auto positive = [](double v) {
+        return std::isfinite(v) && v > 0.0;
+    };
+    if (bounds.empty() || !std::isfinite(bounds.width()) ||
+        !std::isfinite(bounds.height()))
         return R::failure(common::ErrorCode::InvalidArgument,
-                          "voxelizeChecked: empty bounds");
-    if (params.voxelNm <= 0.0)
+                          "voxelize: empty or non-finite bounds");
+    if (!positive(params.voxelNm))
         return R::failure(common::ErrorCode::InvalidArgument,
-                          "voxelizeChecked: bad voxel size");
-    if (params.outOfBoundsTolNm < 0.0)
+                          "voxelize: bad voxel size");
+    if (!positive(params.zMaxNm))
         return R::failure(common::ErrorCode::InvalidArgument,
-                          "voxelizeChecked: negative bounds "
-                          "tolerance");
+                          "voxelize: bad z extent");
+    if (!(params.outOfBoundsTolNm >= 0.0))
+        return R::failure(common::ErrorCode::InvalidArgument,
+                          "voxelize: negative bounds tolerance");
 
     size_t idx = 0;
     for (const auto &shape : cell.flatten()) {
@@ -228,7 +222,7 @@ voxelizeChecked(const layout::Cell &cell, const common::Rect &bounds,
         if (overflow > params.outOfBoundsTolNm)
             return R::failure(
                 common::ErrorCode::FailedPrecondition,
-                "voxelizeChecked: shape #" + std::to_string(idx) +
+                "voxelize: shape #" + std::to_string(idx) +
                     " on layer " + layout::layerName(shape.layer) +
                     (shape.net.empty() ? std::string()
                                        : " (net " + shape.net + ")") +

@@ -48,9 +48,8 @@ struct VoxelizeParams
 
     /**
      * How far (nm) a drawn shape may extend beyond the volume bounds
-     * before voxelizeChecked treats the clip as an error.  Line-edge
-     * roughness legally pushes edges a few sigma out of bounds, so
-     * callers enabling LER should allow at least ~4 x lerSigmaNm.
+     * before voxelize treats the clip as an error.  An SA region's
+     * legitimate overhang is in SaRegionTruth::voxelize.
      */
     double outOfBoundsTolNm = 0.0;
 };
@@ -64,23 +63,15 @@ struct VoxelizeParams
  * The volume origin coincides with `bounds.x0/y0`; voxel (x,y,z)
  * covers [x*v, (x+1)*v) nm etc.
  *
- * Shapes crossing the volume boundary are silently clipped (the
- * legacy contract); use voxelizeChecked to get a typed error instead.
- */
-image::Volume3D voxelize(const layout::Cell &cell,
-                         const common::Rect &bounds,
-                         const VoxelizeParams &params = {});
-
-/**
- * Validated rasterization: like voxelize, but invalid inputs (empty
- * bounds, non-positive voxel size) and shapes that extend beyond the
- * volume bounds by more than `params.outOfBoundsTolNm` produce a
- * typed error instead of an exception or a silent clip.  Shapes
- * within the tolerance are clipped exactly as voxelize clips them.
+ * InvalidArgument for empty or non-finite bounds, a non-positive or
+ * non-finite voxel size or z extent, or a negative tolerance;
+ * FailedPrecondition for a shape that extends beyond the bounds by
+ * more than `params.outOfBoundsTolNm`.  Shapes within the tolerance
+ * are clipped to the bounds.
  */
 common::Result<image::Volume3D>
-voxelizeChecked(const layout::Cell &cell, const common::Rect &bounds,
-                const VoxelizeParams &params = {});
+voxelize(const layout::Cell &cell, const common::Rect &bounds,
+         const VoxelizeParams &params = {});
 
 /// Material of a voxel value (clamped to the enum range).
 Material voxelMaterial(float value);

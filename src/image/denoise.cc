@@ -35,22 +35,14 @@ constexpr size_t kRowGrain = 16;
  * identical; tests/test_image.cc pins this down.
  */
 
-/// One dual-field pixel update; returns the max component change when
-/// Track (for the tolerance early-exit), 0 otherwise.
-template <bool Track>
-inline float
+/// One dual-field pixel update.
+inline void
 chambollePoint(float gx, float gy, float tau, float &px_v, float &py_v)
 {
     const float mag = std::sqrt(gx * gx + gy * gy);
     const float denom = 1.0f + tau * mag;
-    const float npx = (px_v + tau * gx) / denom;
-    const float npy = (py_v + tau * gy) / denom;
-    float delta = 0.0f;
-    if constexpr (Track)
-        delta = std::max(std::fabs(npx - px_v), std::fabs(npy - py_v));
-    px_v = npx;
-    py_v = npy;
-    return delta;
+    px_v = (px_v + tau * gx) / denom;
+    py_v = (py_v + tau * gy) / denom;
 }
 
 /// Soft-threshold for the split-Bregman d-step.
@@ -72,9 +64,7 @@ shrink(float v, float t)
  * exactly-rounded element-wise, negation is a sign-bit xor, and every
  * branch becomes a quiet-ordered compare + blend pair, so the stored
  * bits match the scalar path bit for bit (no FMA contraction — these
- * are discrete intrinsics).  The max-delta reductions use max_ps,
- * which matches the scalar std::max chain for the non-negative finite
- * magnitudes these loops produce.
+ * are discrete intrinsics).
  */
 
 /// Interior columns [1, w-1) of divergenceRow.
@@ -113,20 +103,14 @@ divergenceInteriorAvx2(const float *px_row, const float *py_row,
 }
 
 /// Columns [0, n) of the Chambolle dual update (n = w - 1; the caller
-/// peels the last column, whose gx is 0).  Returns the max dual change
-/// when Track.
-template <bool Track>
-HIFI_AVX2_TARGET inline float
+/// peels the last column, whose gx is 0).
+HIFI_AVX2_TARGET inline void
 chambolleInteriorAvx2(const float *g_row, const float *g_next,
                       bool last_row, size_t n, float tau, float *px_row,
                       float *py_row)
 {
     const __m256 vtau = _mm256_set1_ps(tau);
     const __m256 one = _mm256_set1_ps(1.0f);
-    const __m256 absmask =
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-    __m256 vdelta = _mm256_setzero_ps();
-    float delta = 0.0f;
     size_t x = 0;
     for (; x + 8 <= n; x += 8) {
         const __m256 g0 = _mm256_loadu_ps(g_row + x);
@@ -147,29 +131,11 @@ chambolleInteriorAvx2(const float *g_row, const float *g_next,
             _mm256_add_ps(opy, _mm256_mul_ps(vtau, gy)), denom);
         _mm256_storeu_ps(px_row + x, npx);
         _mm256_storeu_ps(py_row + x, npy);
-        if constexpr (Track) {
-            const __m256 adx =
-                _mm256_and_ps(_mm256_sub_ps(npx, opx), absmask);
-            const __m256 ady =
-                _mm256_and_ps(_mm256_sub_ps(npy, opy), absmask);
-            vdelta = _mm256_max_ps(vdelta, _mm256_max_ps(adx, ady));
-        }
     }
-    if constexpr (Track) {
-        alignas(32) float lanes[8];
-        _mm256_store_ps(lanes, vdelta);
-        for (int i = 0; i < 8; ++i)
-            delta = std::max(delta, lanes[i]);
-    }
-    for (; x < n; ++x) {
-        const float d = chambollePoint<Track>(
-            g_row[x + 1] - g_row[x],
-            last_row ? 0.0f : g_next[x] - g_row[x], tau, px_row[x],
-            py_row[x]);
-        if constexpr (Track)
-            delta = std::max(delta, d);
-    }
-    return delta;
+    for (; x < n; ++x)
+        chambollePoint(g_row[x + 1] - g_row[x],
+                       last_row ? 0.0f : g_next[x] - g_row[x], tau,
+                       px_row[x], py_row[x]);
 }
 
 /// Vector shrink(): the two exclusive threshold branches as blends.
@@ -281,123 +247,35 @@ divergenceRow(const float *px_row, const float *py_row,
 /**
  * Dual update p = (p + tau grad g) / (1 + tau |grad g|) for one row.
  * `g_next` is the next row of g (unused when last_row: the forward
- * y-difference is 0 there).  Returns the row's max dual change when
- * Track.
+ * y-difference is 0 there).
  */
-template <bool Track>
-inline float
+inline void
 chambolleRow(const float *g_row, const float *g_next, bool last_row,
              size_t w, float tau, float *px_row, float *py_row)
 {
-    float row_delta = 0.0f;
 #if HIFI_SIMD_AVX2_COMPILED
     if (common::simd::avx2()) {
-        row_delta = chambolleInteriorAvx2<Track>(
-            g_row, g_next, last_row, w - 1, tau, px_row, py_row);
-        const float d = chambollePoint<Track>(
-            0.0f, last_row ? 0.0f : g_next[w - 1] - g_row[w - 1], tau,
-            px_row[w - 1], py_row[w - 1]);
-        if constexpr (Track)
-            row_delta = std::max(row_delta, d);
-        return row_delta;
+        chambolleInteriorAvx2(g_row, g_next, last_row, w - 1, tau,
+                              px_row, py_row);
+        chambollePoint(0.0f,
+                       last_row ? 0.0f : g_next[w - 1] - g_row[w - 1],
+                       tau, px_row[w - 1], py_row[w - 1]);
+        return;
     }
 #endif
     if (last_row) {
-        for (size_t x = 0; x + 1 < w; ++x) {
-            const float d = chambollePoint<Track>(
-                g_row[x + 1] - g_row[x], 0.0f, tau, px_row[x],
-                py_row[x]);
-            if constexpr (Track)
-                row_delta = std::max(row_delta, d);
-        }
-        const float d = chambollePoint<Track>(
-            0.0f, 0.0f, tau, px_row[w - 1], py_row[w - 1]);
-        if constexpr (Track)
-            row_delta = std::max(row_delta, d);
+        for (size_t x = 0; x + 1 < w; ++x)
+            chambollePoint(g_row[x + 1] - g_row[x], 0.0f, tau,
+                           px_row[x], py_row[x]);
+        chambollePoint(0.0f, 0.0f, tau, px_row[w - 1], py_row[w - 1]);
     } else {
-        for (size_t x = 0; x + 1 < w; ++x) {
-            const float d = chambollePoint<Track>(
-                g_row[x + 1] - g_row[x], g_next[x] - g_row[x], tau,
-                px_row[x], py_row[x]);
-            if constexpr (Track)
-                row_delta = std::max(row_delta, d);
-        }
-        const float d = chambollePoint<Track>(
-            0.0f, g_next[w - 1] - g_row[w - 1], tau, px_row[w - 1],
-            py_row[w - 1]);
-        if constexpr (Track)
-            row_delta = std::max(row_delta, d);
+        for (size_t x = 0; x + 1 < w; ++x)
+            chambollePoint(g_row[x + 1] - g_row[x],
+                           g_next[x] - g_row[x], tau, px_row[x],
+                           py_row[x]);
+        chambollePoint(0.0f, g_next[w - 1] - g_row[w - 1], tau,
+                       px_row[w - 1], py_row[w - 1]);
     }
-    return row_delta;
-}
-
-template <bool Track>
-Image2D
-denoiseChambolleImpl(const Image2D &input, const TvParams &params)
-{
-    const size_t w = input.width();
-    const size_t h = input.height();
-    const float lambda = static_cast<float>(params.lambda);
-    const float tau = 0.125f; // <= 1/8 guarantees convergence
-    const float tol = static_cast<float>(params.tolerance);
-
-    // Dual field p = (px, py).
-    Image2D px(w, h, 0.0f), py(w, h, 0.0f);
-    Image2D g(w, h, 0.0f);
-    const std::vector<float> zero(w, 0.0f);
-
-    // Each pass writes only its own rows and reads fields that are
-    // constant for the duration of the pass, so row-band parallelism
-    // is bitwise equal to the serial sweep.
-    for (size_t it = 0; it < params.iterations; ++it) {
-        // g = div p - f / lambda
-        common::parallelFor(0, h, kRowGrain, [&](size_t y0, size_t y1) {
-            std::vector<float> div(w);
-            for (size_t y = y0; y < y1; ++y) {
-                divergenceRow(px.row(y), py.row(y),
-                              y > 0 ? py.row(y - 1) : zero.data(),
-                              y + 1 == h, w, div.data());
-                const float *f_row = input.row(y);
-                float *g_row = g.row(y);
-                for (size_t x = 0; x < w; ++x)
-                    g_row[x] = div[x] - f_row[x] / lambda;
-            }
-        });
-        // p = (p + tau grad g) / (1 + tau |grad g|)
-        const float max_delta = common::parallelReduce(
-            0, h, kRowGrain, 0.0f,
-            [&](size_t y0, size_t y1) {
-                float chunk_delta = 0.0f;
-                for (size_t y = y0; y < y1; ++y) {
-                    const bool last = y + 1 == h;
-                    const float d = chambolleRow<Track>(
-                        g.row(y), last ? nullptr : g.row(y + 1), last,
-                        w, tau, px.row(y), py.row(y));
-                    if constexpr (Track)
-                        chunk_delta = std::max(chunk_delta, d);
-                }
-                return chunk_delta;
-            },
-            [](float a, float b) { return std::max(a, b); });
-        if (Track && max_delta <= tol)
-            break;
-    }
-
-    // u = f - lambda div p (recompute div with the final p).
-    Image2D out(w, h);
-    common::parallelFor(0, h, kRowGrain, [&](size_t y0, size_t y1) {
-        std::vector<float> div(w);
-        for (size_t y = y0; y < y1; ++y) {
-            divergenceRow(px.row(y), py.row(y),
-                          y > 0 ? py.row(y - 1) : zero.data(),
-                          y + 1 == h, w, div.data());
-            const float *f_row = input.row(y);
-            float *o_row = out.row(y);
-            for (size_t x = 0; x < w; ++x)
-                o_row[x] = f_row[x] - lambda * div[x];
-        }
-    });
-    return out;
 }
 
 /// Per-row state handed to the split-Bregman relaxation helpers.
@@ -457,10 +335,72 @@ bregmanBorderPixel(const BregmanRows &r, size_t x, size_t w, float mu,
         (mu + lam * static_cast<float>(nbrs));
 }
 
-template <bool Track>
+} // namespace
+
 Image2D
-denoiseSplitBregmanImpl(const Image2D &input, const TvParams &params)
+denoiseChambolle(const Image2D &input, const TvParams &params)
 {
+    if (input.empty())
+        throw std::invalid_argument("denoiseChambolle: empty image");
+    const size_t w = input.width();
+    const size_t h = input.height();
+    const float lambda = static_cast<float>(params.lambda);
+    const float tau = 0.125f; // <= 1/8 guarantees convergence
+
+    // Dual field p = (px, py).
+    Image2D px(w, h, 0.0f), py(w, h, 0.0f);
+    Image2D g(w, h, 0.0f);
+    const std::vector<float> zero(w, 0.0f);
+
+    // Each pass writes only its own rows and reads fields that are
+    // constant for the duration of the pass, so row-band parallelism
+    // is bitwise equal to the serial sweep.
+    for (size_t it = 0; it < params.iterations; ++it) {
+        // g = div p - f / lambda
+        common::parallelFor(0, h, kRowGrain, [&](size_t y0, size_t y1) {
+            std::vector<float> div(w);
+            for (size_t y = y0; y < y1; ++y) {
+                divergenceRow(px.row(y), py.row(y),
+                              y > 0 ? py.row(y - 1) : zero.data(),
+                              y + 1 == h, w, div.data());
+                const float *f_row = input.row(y);
+                float *g_row = g.row(y);
+                for (size_t x = 0; x < w; ++x)
+                    g_row[x] = div[x] - f_row[x] / lambda;
+            }
+        });
+        // p = (p + tau grad g) / (1 + tau |grad g|)
+        common::parallelFor(0, h, kRowGrain, [&](size_t y0, size_t y1) {
+            for (size_t y = y0; y < y1; ++y) {
+                const bool last = y + 1 == h;
+                chambolleRow(g.row(y), last ? nullptr : g.row(y + 1),
+                             last, w, tau, px.row(y), py.row(y));
+            }
+        });
+    }
+
+    // u = f - lambda div p (recompute div with the final p).
+    Image2D out(w, h);
+    common::parallelFor(0, h, kRowGrain, [&](size_t y0, size_t y1) {
+        std::vector<float> div(w);
+        for (size_t y = y0; y < y1; ++y) {
+            divergenceRow(px.row(y), py.row(y),
+                          y > 0 ? py.row(y - 1) : zero.data(),
+                          y + 1 == h, w, div.data());
+            const float *f_row = input.row(y);
+            float *o_row = out.row(y);
+            for (size_t x = 0; x < w; ++x)
+                o_row[x] = f_row[x] - lambda * div[x];
+        }
+    });
+    return out;
+}
+
+Image2D
+denoiseSplitBregman(const Image2D &input, const TvParams &params)
+{
+    if (input.empty())
+        throw std::invalid_argument("denoiseSplitBregman: empty image");
     const size_t w = input.width();
     const size_t h = input.height();
 
@@ -469,12 +409,10 @@ denoiseSplitBregmanImpl(const Image2D &input, const TvParams &params)
                                                        params.lambda));
     const float lam = 2.0f * mu;
     const float denom4 = mu + lam * 4.0f;
-    const float tol = static_cast<float>(params.tolerance);
 
     Image2D u = input;
     Image2D dx(w, h, 0.0f), dy(w, h, 0.0f);
     Image2D bx(w, h, 0.0f), by(w, h, 0.0f);
-    Image2D u_prev;
     const std::vector<float> zero(w, 0.0f);
 
     // Several Gauss-Seidel sweeps per outer iteration: the u-step must
@@ -527,83 +465,40 @@ denoiseSplitBregmanImpl(const Image2D &input, const TvParams &params)
     };
 
     for (size_t it = 0; it < params.iterations; ++it) {
-        if constexpr (Track)
-            u_prev = u;
         for (int sweep = 0; sweep < kInnerSweeps; ++sweep) {
             relaxColor(0);
             relaxColor(1);
         }
         // Shrinkage step on d, then Bregman update on b.  u is frozen
-        // here and every pixel writes only itself: row-parallel.  The
-        // primal change for the tolerance check is folded in.
-        const float max_delta = common::parallelReduce(
-            0, h, kRowGrain, 0.0f,
-            [&](size_t y0, size_t y1) {
-                float chunk_delta = 0.0f;
-                for (size_t y = y0; y < y1; ++y) {
-                    const float *u_row = u.row(y);
-                    const float *u_down =
-                        y + 1 < h ? u.row(y + 1) : nullptr;
-                    float *dx_row = dx.row(y), *bx_row = bx.row(y);
-                    float *dy_row = dy.row(y), *by_row = by.row(y);
+        // here and every pixel writes only itself: row-parallel.
+        common::parallelFor(0, h, kRowGrain, [&](size_t y0, size_t y1) {
+            for (size_t y = y0; y < y1; ++y) {
+                const float *u_row = u.row(y);
+                const float *u_down = y + 1 < h ? u.row(y + 1) : nullptr;
+                float *dx_row = dx.row(y), *bx_row = bx.row(y);
+                float *dy_row = dy.row(y), *by_row = by.row(y);
 #if HIFI_SIMD_AVX2_COMPILED
-                    if (common::simd::avx2()) {
-                        bregmanShrinkRowAvx2(u_row, u_down, w,
-                                             1.0f / lam, dx_row,
-                                             bx_row, dy_row, by_row);
-                    } else
-#endif
-                    {
-                        for (size_t x = 0; x < w; ++x) {
-                            const float gx = x + 1 < w
-                                ? u_row[x + 1] - u_row[x] : 0.0f;
-                            const float gy =
-                                u_down ? u_down[x] - u_row[x] : 0.0f;
-                            dx_row[x] =
-                                shrink(gx + bx_row[x], 1.0f / lam);
-                            dy_row[x] =
-                                shrink(gy + by_row[x], 1.0f / lam);
-                            bx_row[x] += gx - dx_row[x];
-                            by_row[x] += gy - dy_row[x];
-                        }
-                    }
-                    if constexpr (Track) {
-                        const float *p_row = u_prev.row(y);
-                        for (size_t x = 0; x < w; ++x)
-                            chunk_delta = std::max(
-                                chunk_delta,
-                                std::fabs(u_row[x] - p_row[x]));
-                    }
+                if (common::simd::avx2()) {
+                    bregmanShrinkRowAvx2(u_row, u_down, w, 1.0f / lam,
+                                         dx_row, bx_row, dy_row,
+                                         by_row);
+                    continue;
                 }
-                return chunk_delta;
-            },
-            [](float a, float b) { return std::max(a, b); });
-        if (Track && max_delta <= tol)
-            break;
+#endif
+                for (size_t x = 0; x < w; ++x) {
+                    const float gx =
+                        x + 1 < w ? u_row[x + 1] - u_row[x] : 0.0f;
+                    const float gy =
+                        u_down ? u_down[x] - u_row[x] : 0.0f;
+                    dx_row[x] = shrink(gx + bx_row[x], 1.0f / lam);
+                    dy_row[x] = shrink(gy + by_row[x], 1.0f / lam);
+                    bx_row[x] += gx - dx_row[x];
+                    by_row[x] += gy - dy_row[x];
+                }
+            }
+        });
     }
     return u;
-}
-
-} // namespace
-
-Image2D
-denoiseChambolle(const Image2D &input, const TvParams &params)
-{
-    if (input.empty())
-        throw std::invalid_argument("denoiseChambolle: empty image");
-    if (params.tolerance > 0.0)
-        return denoiseChambolleImpl<true>(input, params);
-    return denoiseChambolleImpl<false>(input, params);
-}
-
-Image2D
-denoiseSplitBregman(const Image2D &input, const TvParams &params)
-{
-    if (input.empty())
-        throw std::invalid_argument("denoiseSplitBregman: empty image");
-    if (params.tolerance > 0.0)
-        return denoiseSplitBregmanImpl<true>(input, params);
-    return denoiseSplitBregmanImpl<false>(input, params);
 }
 
 } // namespace image

@@ -27,17 +27,9 @@ struct TvParams
     /// Regularization weight: larger means smoother output.
     double lambda = 0.1;
 
-    /// Outer iterations.
+    /// Outer iterations (always all of them: the paper's recipe is a
+    /// fixed iteration count, not a convergence test).
     size_t iterations = 50;
-
-    /**
-     * Opt-in convergence early-exit.  When > 0, iteration stops once
-     * the per-iteration update drops to or below this threshold: the
-     * max dual-field change for Chambolle, the max primal change for
-     * split-Bregman.  The default 0 never exits early and runs the
-     * exact iteration count — bit-identical to the pre-tolerance code.
-     */
-    double tolerance = 0.0;
 };
 
 /// Chambolle's dual projection algorithm (isotropic TV).

@@ -25,16 +25,6 @@ namespace
 /// Candidate offsets per parallel chunk in the MI shift search.
 constexpr size_t kCandidateGrain = 4;
 
-/// Pyramid levels stop once either downsampled dimension would drop
-/// below this: with fewer pixels the joint histogram is too sparse for
-/// the coarse MI peak to be trustworthy.
-constexpr size_t kPyramidMinDim = 16;
-
-/// Refinement radius around the upsampled coarse optimum, per level.
-/// ±2 covers the upsampling rounding (±1) plus one pixel of detail
-/// that only resolves at the finer level.
-constexpr long kPyramidRefineRadius = 2;
-
 /// Quantize an intensity into [0, bins).
 inline size_t
 quantize(float v, float lo, float inv_range, size_t bins)
@@ -61,61 +51,6 @@ miRanges(const Image2D &a, const Image2D &b)
     r.ainv = (ahi > r.alo) ? 1.0f / (ahi - r.alo) : 0.0f;
     r.binv = (bhi > r.blo) ? 1.0f / (bhi - r.blo) : 0.0f;
     return r;
-}
-
-/**
- * Reference MI at a shift: quantizes both images pixel by pixel for
- * this one candidate.  Every fast path below must reproduce its
- * result bit for bit (asserted by tests/test_image.cc).
- */
-double
-miAtShiftRef(const Image2D &a, const Image2D &b, const MiRanges &r,
-             long dx, long dy, size_t bins)
-{
-    const long w = static_cast<long>(a.width());
-    const long h = static_cast<long>(a.height());
-
-    std::vector<double> joint(bins * bins, 0.0);
-    std::vector<double> pa(bins, 0.0), pb(bins, 0.0);
-    size_t n = 0;
-
-    const long x0 = std::max(0l, dx), x1 = std::min(w, w + dx);
-    const long y0 = std::max(0l, dy), y1 = std::min(h, h + dy);
-    for (long y = y0; y < y1; ++y) {
-        for (long x = x0; x < x1; ++x) {
-            const size_t ia = quantize(
-                a.at(static_cast<size_t>(x), static_cast<size_t>(y)),
-                r.alo, r.ainv, bins);
-            const size_t ib = quantize(
-                b.at(static_cast<size_t>(x - dx),
-                     static_cast<size_t>(y - dy)),
-                r.blo, r.binv, bins);
-            joint[ia * bins + ib] += 1.0;
-            ++n;
-        }
-    }
-    if (n == 0)
-        return 0.0;
-
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (size_t i = 0; i < bins; ++i) {
-        for (size_t j = 0; j < bins; ++j) {
-            const double p = joint[i * bins + j] * inv_n;
-            pa[i] += p;
-            pb[j] += p;
-        }
-    }
-    double mi = 0.0;
-    for (size_t i = 0; i < bins; ++i) {
-        if (pa[i] <= 0.0)
-            continue;
-        for (size_t j = 0; j < bins; ++j) {
-            const double p = joint[i * bins + j] * inv_n;
-            if (p > 0.0 && pb[j] > 0.0)
-                mi += p * std::log(p / (pa[i] * pb[j]));
-        }
-    }
-    return mi;
 }
 
 /// Interleaved counters per joint cell: pixel x bumps word x % 4 of
@@ -190,9 +125,9 @@ quantIndicesAvx2(const float *pa, const float *pb, size_t count,
 
 /**
  * Marginals + entropy sum over an integer joint histogram.  The loop
- * structure mirrors miAtShiftRef term for term, and each uint32 count
- * converts to the same double the reference accumulated by repeated
- * `+= 1.0`.
+ * structure mirrors the re-quantizing reference (tests/oracles.hh)
+ * term for term, and each uint32 count converts to the same double
+ * the reference accumulates by repeated `+= 1.0`.
  */
 double
 miFromJointCounts(MiWorkspace &ws, size_t bins, size_t n)
@@ -228,7 +163,7 @@ miFromJointCounts(MiWorkspace &ws, size_t bins, size_t n)
  * row y's `at(x)`: the first counter of pixel x's joint cell,
  * `(ia * bins + ib) * kSubHists`, for x in [x0, x1).  The counters are
  * summed into `ws.joint` as exact integers, so the counts — and via
- * miFromJointCounts the score — are bitwise those of miAtShiftRef.
+ * miFromJointCounts the score — are bitwise those of the reference.
  */
 template <typename RowIndex>
 double
@@ -314,7 +249,7 @@ miAtShiftQ(const MiPlanes &p, long dx, long dy, MiWorkspace &ws)
  * the scatter, skipping the QuantizedPlane allocations — for a single
  * evaluation (mutualInformation / mutualInformationAtShift) the plane
  * build costs more than it saves.  quantize() arithmetic is shared, so
- * the score is bitwise that of the pre-quantized and reference paths.
+ * the score is bitwise that of the pre-quantized path.
  */
 double
 miOneShotQ(const Image2D &a, const Image2D &b, long dx, long dy,
@@ -368,9 +303,9 @@ scoreCandidates(const MiPlanes &planes,
 }
 
 /**
- * Winner selection shared by every search: the highest score, with
- * ties (within 1e-12) broken by the smallest |dx| + |dy| and then
- * lexicographically by (dy, dx).  A serial scan over precomputed
+ * Winner selection: the highest score, with ties (within 1e-12)
+ * broken by the smallest |dx| + |dy| and then lexicographically by
+ * (dy, dx).  A serial scan over precomputed
  * scores, so the result never depends on the thread count.
  */
 std::pair<long, long>
@@ -400,91 +335,18 @@ pickBest(const std::vector<std::pair<long, long>> &cands,
     return {best_dx, best_dy};
 }
 
-/// All (dx, dy) with |dx - cx| <= r, |dy - cy| <= r, clamped to the
-/// full-window bound, enumerated in the exhaustive scan order.
+/// Every (dx, dy) in [-bound, bound]^2, row-major by dy then dx (the
+/// scan order the tie-break's serial pass walks).
 std::vector<std::pair<long, long>>
-windowCandidates(long cx, long cy, long r, long bound)
+windowCandidates(long bound)
 {
     std::vector<std::pair<long, long>> cands;
-    const long dy0 = std::max(-bound, cy - r);
-    const long dy1 = std::min(bound, cy + r);
-    const long dx0 = std::max(-bound, cx - r);
-    const long dx1 = std::min(bound, cx + r);
-    cands.reserve(static_cast<size_t>(dy1 - dy0 + 1) *
-                  static_cast<size_t>(dx1 - dx0 + 1));
-    for (long dy = dy0; dy <= dy1; ++dy)
-        for (long dx = dx0; dx <= dx1; ++dx)
+    const auto side = static_cast<size_t>(2 * bound + 1);
+    cands.reserve(side * side);
+    for (long dy = -bound; dy <= bound; ++dy)
+        for (long dx = -bound; dx <= bound; ++dx)
             cands.emplace_back(dx, dy);
     return cands;
-}
-
-/// 2x2 box downsample (truncating odd edges), for the MI pyramid.
-Image2D
-downsample2(const Image2D &in)
-{
-    const size_t w2 = in.width() / 2;
-    const size_t h2 = in.height() / 2;
-    Image2D out(w2, h2);
-    for (size_t y = 0; y < h2; ++y) {
-        const float *r0 = in.row(2 * y);
-        const float *r1 = in.row(2 * y + 1);
-        float *o = out.row(y);
-        for (size_t x = 0; x < w2; ++x)
-            o[x] = 0.25f * (r0[2 * x] + r0[2 * x + 1] + r1[2 * x] +
-                            r1[2 * x + 1]);
-    }
-    return out;
-}
-
-/// Ceil-divide a shift bound by 2^level.
-long
-levelShift(long max_shift, size_t level)
-{
-    return (max_shift + (1l << level) - 1) >> level;
-}
-
-std::pair<long, long>
-registerShiftMiPyramid(const Image2D &fixed, const Image2D &moving,
-                       const MiParams &params)
-{
-    // Build the pyramid until the coarse window is trivial or the
-    // images get too small to histogram meaningfully.
-    std::vector<std::pair<Image2D, Image2D>> levels;
-    levels.emplace_back(fixed, moving);
-    while (levelShift(params.maxShift, levels.size() - 1) > 2 &&
-           levels.back().first.width() / 2 >= kPyramidMinDim &&
-           levels.back().first.height() / 2 >= kPyramidMinDim) {
-        levels.emplace_back(downsample2(levels.back().first),
-                            downsample2(levels.back().second));
-    }
-
-    size_t evals = 0;
-    auto search = [&](size_t level, long cx, long cy, long radius) {
-        const Image2D &f = levels[level].first;
-        const Image2D &m = levels[level].second;
-        const auto cands = windowCandidates(
-            cx, cy, radius, levelShift(params.maxShift, level));
-        evals += cands.size();
-        return pickBest(cands,
-                        scoreCandidates(MiPlanes(f, m, params.bins),
-                                        cands));
-    };
-
-    // Exhaustive at the coarsest level, then refine downward.
-    const size_t coarsest = levels.size() - 1;
-    std::pair<long, long> best = search(
-        coarsest, 0, 0, levelShift(params.maxShift, coarsest));
-    for (size_t level = coarsest; level-- > 0;) {
-        best = search(level, 2 * best.first, 2 * best.second,
-                      kPyramidRefineRadius);
-    }
-
-    if (telemetry::enabled()) {
-        telemetry::registry().counter("mi.pyramid.levels")
-            .add(levels.size());
-        telemetry::registry().counter("mi.pyramid.evals").add(evals);
-    }
-    return best;
 }
 
 void
@@ -554,111 +416,22 @@ mutualInformationAtShift(const QuantizedPlane &a, const QuantizedPlane &b,
     return miAtShiftQ(MiPlanes(a, b), dx, dy, ws);
 }
 
-double
-mutualInformationAtShiftReference(const Image2D &a, const Image2D &b,
-                                  long dx, long dy, size_t bins)
-{
-    checkShape(a, b, "mutualInformationAtShiftReference");
-    checkBins(bins, "mutualInformationAtShiftReference");
-    return miAtShiftRef(a, b, miRanges(a, b), dx, dy, bins);
-}
-
 std::pair<long, long>
 registerShiftMi(const Image2D &fixed, const Image2D &moving,
                 const MiParams &params)
 {
     checkShape(fixed, moving, "registerShiftMi");
-    if (params.strategy == MiStrategy::Pyramid)
-        return registerShiftMiPyramid(fixed, moving, params);
 
     // Quantize each image exactly once; every candidate offset is
     // independent, so score them all in parallel and pick the winner
     // with the serial tie-break scan.
-    const auto cands =
-        windowCandidates(0, 0, params.maxShift, params.maxShift);
+    const auto cands = windowCandidates(params.maxShift);
     const std::vector<double> score =
         scoreCandidates(MiPlanes(fixed, moving, params.bins), cands);
     if (telemetry::enabled())
         telemetry::registry().counter("mi.exhaustive.evals")
             .add(cands.size());
     return pickBest(cands, score);
-}
-
-std::pair<long, long>
-registerShiftMiReference(const Image2D &fixed, const Image2D &moving,
-                         const MiParams &params)
-{
-    checkShape(fixed, moving, "registerShiftMiReference");
-    const MiRanges ranges = miRanges(fixed, moving);
-    const auto cands =
-        windowCandidates(0, 0, params.maxShift, params.maxShift);
-    std::vector<double> score(cands.size());
-    common::parallelFor(0, cands.size(), kCandidateGrain,
-                        [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i)
-            score[i] = miAtShiftRef(fixed, moving, ranges,
-                                    cands[i].first, cands[i].second,
-                                    params.bins);
-    });
-    return pickBest(cands, score);
-}
-
-std::pair<double, double>
-registerShiftMiSubpixel(const Image2D &fixed, const Image2D &moving,
-                        const MiParams &params)
-{
-    const auto best = registerShiftMi(fixed, moving, params);
-    const MiPlanes planes(fixed, moving, params.bins);
-    MiWorkspace ws;
-
-    auto mi_at = [&](long dx, long dy) {
-        return miAtShiftQ(planes, dx, dy, ws);
-    };
-    auto refine = [&](double m_minus, double m_0, double m_plus) {
-        const double denom = m_minus - 2.0 * m_0 + m_plus;
-        if (std::abs(denom) < 1e-12)
-            return 0.0;
-        const double delta = 0.5 * (m_minus - m_plus) / denom;
-        return std::clamp(delta, -0.5, 0.5);
-    };
-
-    const double m0 = mi_at(best.first, best.second);
-    const double fx = refine(mi_at(best.first - 1, best.second), m0,
-                             mi_at(best.first + 1, best.second));
-    const double fy = refine(mi_at(best.first, best.second - 1), m0,
-                             mi_at(best.first, best.second + 1));
-    return {static_cast<double>(best.first) + fx,
-            static_cast<double>(best.second) + fy};
-}
-
-std::vector<std::pair<long, long>>
-alignStack(const std::vector<Image2D> &slices, const MiParams &params)
-{
-    if (slices.empty())
-        throw std::invalid_argument("alignStack: no slices");
-
-    // Each neighbouring pair registers independently; only the prefix
-    // accumulation into slice-0 coordinates is sequential.
-    std::vector<std::pair<long, long>> pairwise(slices.size(),
-                                                {0, 0});
-    common::parallelFor(1, slices.size(), 1, [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i)
-            pairwise[i] =
-                registerShiftMi(slices[i - 1], slices[i], params);
-    });
-
-    std::vector<std::pair<long, long>> shifts;
-    shifts.reserve(slices.size());
-    shifts.emplace_back(0, 0);
-    long acc_x = 0, acc_y = 0;
-    for (size_t i = 1; i < slices.size(); ++i) {
-        // registerShiftMi returns the offset of slice i relative to
-        // slice i-1; accumulate to express it relative to slice 0.
-        acc_x += -pairwise[i].first;
-        acc_y += -pairwise[i].second;
-        shifts.emplace_back(acc_x, acc_y);
-    }
-    return shifts;
 }
 
 double

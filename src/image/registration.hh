@@ -4,9 +4,9 @@
  *
  * The paper aligns each FIB/SEM slice to its predecessor with Dragonfly's
  * mutual-information algorithm.  Planar-view fidelity requires residual
- * alignment error below 0.77% of the slice height, so we expose both the
- * pairwise MI search and the full-stack chained alignment, and report the
- * residual against ground truth in tests/benches.
+ * alignment error below 0.77% of the slice height, so we expose the
+ * pairwise MI search (one exhaustive scan over the shift window) and
+ * report the residual against ground truth in tests/benches.
  *
  * Fast path: both images are quantized into bin-index planes *once* per
  * registration, and every candidate offset scatters its pixel pairs
@@ -21,8 +21,8 @@
  * assignment, counts, and the MI arithmetic are exactly those of the
  * straightforward per-candidate re-quantization, so the scores — and
  * therefore the recovered shifts — are bitwise identical to the
- * reference implementation (which is retained below for the
- * equivalence tests and bench baselines).
+ * reference implementation in tests/oracles.hh, which shares no code
+ * with these kernels.
  *
  * Every MI entry point rejects more than kMaxMiBins bins: the joint
  * histogram holds 4 * bins^2 counters per candidate.
@@ -46,23 +46,6 @@ namespace image
 /// Largest histogram bin count any MI entry point accepts.
 constexpr size_t kMaxMiBins = 256;
 
-/** Shift-search strategy for registerShiftMi / alignStack. */
-enum class MiStrategy
-{
-    /// Score every offset in the full window.  The default: exact by
-    /// construction, and the result the equivalence tests pin down.
-    Exhaustive,
-
-    /**
-     * Coarse-to-fine: exhaustive search on a downsampled pyramid
-     * level, then a small refinement window per finer level.  Several
-     * times fewer candidate evaluations at large windows, but a
-     * heuristic — a peak that only emerges at full resolution can be
-     * missed — which is why it is opt-in rather than the default.
-     */
-    Pyramid,
-};
-
 /** Parameters for the MI shift search. */
 struct MiParams
 {
@@ -71,9 +54,6 @@ struct MiParams
 
     /// Search window: shifts in [-maxShift, maxShift] on both axes.
     long maxShift = 8;
-
-    /// Candidate enumeration strategy (Exhaustive unless opted in).
-    MiStrategy strategy = MiStrategy::Exhaustive;
 };
 
 /**
@@ -125,16 +105,6 @@ double mutualInformationAtShift(const QuantizedPlane &a,
                                 long dy);
 
 /**
- * Reference implementation of mutualInformationAtShift that
- * re-quantizes both images per call (the original algorithm).
- * Retained as the ground truth for the bitwise-equivalence tests and
- * as the bench baseline; not used on the hot path.
- */
-double mutualInformationAtShiftReference(const Image2D &a,
-                                         const Image2D &b, long dx,
-                                         long dy, size_t bins = 32);
-
-/**
  * Find the integer (dx, dy) translation of `moving` that maximizes
  * mutual information with `fixed`.  Ties (within 1e-12) are broken by
  * the smallest |dx| + |dy|, then lexicographically by (dy, dx), so a
@@ -145,36 +115,6 @@ double mutualInformationAtShiftReference(const Image2D &a,
 std::pair<long, long> registerShiftMi(const Image2D &fixed,
                                       const Image2D &moving,
                                       const MiParams &params = {});
-
-/**
- * Reference exhaustive search scoring every candidate with the
- * re-quantizing MI (same tie-break rule).  Retained for the
- * equivalence tests and the bench baseline.
- */
-std::pair<long, long> registerShiftMiReference(
-    const Image2D &fixed, const Image2D &moving,
-    const MiParams &params = {});
-
-/**
- * Sub-pixel refinement of the best integer shift: fits a parabola to
- * the MI values at the integer optimum and its neighbours on each
- * axis and returns the fractional peak position.  Accuracy ~0.1 px on
- * structured images, which is what the 0.77% alignment budget needs
- * at small slice heights.
- */
-std::pair<double, double> registerShiftMiSubpixel(
-    const Image2D &fixed, const Image2D &moving,
-    const MiParams &params = {});
-
-/**
- * Chained stack alignment: slice i is registered to slice i-1 and the
- * shifts are accumulated, exactly as the paper's per-slice procedure.
- *
- * @return absolute shift of every slice relative to slice 0
- *         (element 0 is always {0, 0})
- */
-std::vector<std::pair<long, long>>
-alignStack(const std::vector<Image2D> &slices, const MiParams &params = {});
 
 /**
  * Residual alignment error against ground truth drift, as the mean

@@ -5,8 +5,8 @@
  * logical volume — bounds peak memory.
  *
  * The volume mirrors image::Volume3D's reslicing API (crossSection /
- * planarView / planarSlab, and setCrossSections as a windowed
- * setCrossSection) with the same axis convention and, critically,
+ * planarView / planarSlab, plus setCrossSections to write a window of
+ * cross-sections) with the same axis convention and, critically,
  * the same per-pixel arithmetic order: every accessor visits voxels in strictly increasing z (then y/x)
  * exactly like the dense loops, so a tiled read is bitwise identical
  * to the dense one at any tile size, budget and thread count

@@ -29,14 +29,9 @@ class Volume3D
   public:
     Volume3D() = default;
 
-    /// Throws std::invalid_argument on a zero dimension; prefer
-    /// createChecked for a typed error.
+    /// An nx x ny x nz volume filled with `fill`.  A zero dimension
+    /// gives the empty volume (every dimension 0, like Volume3D()).
     Volume3D(size_t nx, size_t ny, size_t nz, float fill = 0.0f);
-
-    /// Typed-error construction: InvalidArgument on a zero dimension
-    /// instead of a throw (the fuzz-facing entry point).
-    static common::Result<Volume3D>
-    createChecked(size_t nx, size_t ny, size_t nz, float fill = 0.0f);
 
     size_t nx() const { return nx_; }
     size_t ny() const { return ny_; }
@@ -63,31 +58,17 @@ class Volume3D
     /// codec to reassemble a volume from stored tiles.
     float *mutableData() { return data_.data(); }
 
-    /// Cross-section at a given X: image over (Y, Z).  Throws
-    /// std::out_of_range when x >= nx().
-    Image2D crossSection(size_t x) const;
-
-    /// Typed-error variant: InvalidArgument out of range.
-    common::Result<Image2D> crossSectionChecked(size_t x) const;
+    /// Cross-section at a given X: image over (Y, Z).
+    /// InvalidArgument when x >= nx().
+    common::Result<Image2D> crossSection(size_t x) const;
 
     /// Planar (top-down) view at a given Z: image over (X, Y).
-    /// Throws std::out_of_range when z >= nz().
-    Image2D planarView(size_t z) const;
-
-    /// Typed-error variant: InvalidArgument out of range.
-    common::Result<Image2D> planarViewChecked(size_t z) const;
-
-    /// Insert a cross-section image (Y, Z) at position x.
-    void setCrossSection(size_t x, const Image2D &img);
+    /// InvalidArgument when z >= nz().
+    common::Result<Image2D> planarView(size_t z) const;
 
     /// Average planar view over a z range [z0, z1): a "layer slab".
-    /// Throws std::invalid_argument on an empty or out-of-range
-    /// window.
-    Image2D planarSlab(size_t z0, size_t z1) const;
-
-    /// Typed-error variant: InvalidArgument on a bad range.
-    common::Result<Image2D> planarSlabChecked(size_t z0,
-                                              size_t z1) const;
+    /// InvalidArgument on an empty or out-of-range window.
+    common::Result<Image2D> planarSlab(size_t z0, size_t z1) const;
 
   private:
     size_t nx_ = 0;
@@ -156,16 +137,6 @@ struct SliceStack
     /// nm per pixel in the cross-section images.
     double pixelResolutionNm = 5.0;
 };
-
-/**
- * Assemble an aligned slice stack into a volume.
- *
- * @param slices   cross-section images, all the same shape
- * @param shifts   per-slice (dy, dz) correction to apply (from the
- *                 registration step); slice i is translated by -shift[i]
- */
-Volume3D assembleVolume(const std::vector<Image2D> &slices,
-                        const std::vector<std::pair<long, long>> &shifts);
 
 } // namespace image
 } // namespace hifi

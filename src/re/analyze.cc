@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/telemetry.hh"
 #include "layout/layer.hh"
@@ -96,7 +95,7 @@ makeSlab(const image::Volume3D &vol, layout::Layer layer,
     z1 = std::max(z0 + 1, std::min(z1, vol.nz()));
 
     Slab slab;
-    slab.intensity = vol.planarSlab(z0, z1);
+    slab.intensity = vol.planarSlab(z0, z1).takeValue();
     slab.mask = morphologicalOpen(
         materialMask(slab.intensity, material, detector));
     slab.comps = connectedComponents(slab.mask, min_pixels);
@@ -137,13 +136,14 @@ robustVerticalRun(const image::Image2D &intensity,
 
 } // namespace
 
-RegionAnalysis
+common::Result<RegionAnalysis>
 analyzeRegion(const image::Volume3D &recon, const PlanarScales &scales,
               models::Detector detector)
 {
     const telemetry::Span span("re.analyze");
     if (recon.empty())
-        throw std::invalid_argument("analyzeRegion: empty volume");
+        return common::Error{common::ErrorCode::InvalidArgument,
+                             "analyzeRegion: empty volume"};
 
     using fab::Material;
     using layout::Layer;

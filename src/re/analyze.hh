@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/geometry.hh"
+#include "common/result.hh"
 #include "fab/defects.hh"
 #include "image/volume3d.hh"
 #include "models/chip_data.hh"
@@ -102,10 +103,11 @@ struct RegionAnalysis
  *                 (materialized with TiledVolume3D::toDense)
  * @param scales   physical voxel pitch per axis
  * @param detector detector the stack was acquired with
+ * @return the analysis, or InvalidArgument for an empty volume
  */
-RegionAnalysis analyzeRegion(const image::Volume3D &recon,
-                             const PlanarScales &scales,
-                             models::Detector detector);
+common::Result<RegionAnalysis> analyzeRegion(const image::Volume3D &recon,
+                                             const PlanarScales &scales,
+                                             models::Detector detector);
 
 } // namespace re
 } // namespace hifi

@@ -9,7 +9,7 @@ namespace hifi
 namespace re
 {
 
-RegionAnalysis
+common::Result<RegionAnalysis>
 analyzeGdsFile(const std::string &path, double voxel_nm)
 {
     const layout::Cell cell = layout::readGdsFile(path);
@@ -17,7 +17,10 @@ analyzeGdsFile(const std::string &path, double voxel_nm)
 
     fab::VoxelizeParams vox;
     vox.voxelNm = voxel_nm;
-    const auto materials = fab::voxelize(cell, bounds, vox);
+    const auto voxelized = fab::voxelize(cell, bounds, vox);
+    if (!voxelized.ok())
+        return voxelized.error();
+    const image::Volume3D &materials = voxelized.value();
 
     // Noise-free rendering: the GDSII is already the ground truth.
     image::Volume3D intensity(materials.nx(), materials.ny(),

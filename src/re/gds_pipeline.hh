@@ -20,10 +20,12 @@ namespace re
 
 /**
  * Read a GDSII file and analyze it at the given voxel pitch under a
- * noise-free SE rendering.
+ * noise-free SE rendering.  A voxelization error (bad pitch, empty
+ * layout) is passed on; an unreadable or malformed file throws from
+ * the GDSII reader.
  */
-RegionAnalysis analyzeGdsFile(const std::string &path,
-                              double voxel_nm = 5.0);
+common::Result<RegionAnalysis> analyzeGdsFile(const std::string &path,
+                                              double voxel_nm = 5.0);
 
 } // namespace re
 } // namespace hifi

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <stdexcept>
 
 #include "layout/layer.hh"
 #include "re/segmentation.hh"
@@ -13,13 +12,14 @@ namespace hifi
 namespace re
 {
 
-MatAnalysis
+common::Result<MatAnalysis>
 analyzeMatRegion(const image::Volume3D &recon,
                  const PlanarScales &scales,
                  models::Detector detector)
 {
     if (recon.empty())
-        throw std::invalid_argument("analyzeMatRegion: empty volume");
+        return common::Error{common::ErrorCode::InvalidArgument,
+                             "analyzeMatRegion: empty volume"};
 
     using fab::Material;
     using layout::Layer;
@@ -35,7 +35,7 @@ analyzeMatRegion(const image::Volume3D &recon,
                       scales.zNm));
         z0 = std::min(z0, recon.nz() - 1);
         z1 = std::max(z0 + 1, std::min(z1, recon.nz()));
-        const auto intensity = recon.planarSlab(z0, z1);
+        const auto intensity = recon.planarSlab(z0, z1).takeValue();
         const auto mask = morphologicalOpen(
             materialMask(intensity, material, detector));
         return connectedComponents(mask, min_px);

@@ -37,11 +37,12 @@ struct MatAnalysis
 
 /**
  * Analyze a reconstructed MAT volume (from fab::buildMatSlice through
- * the imaging chain, or rendered clean).
+ * the imaging chain, or rendered clean).  InvalidArgument for an
+ * empty volume.
  */
-MatAnalysis analyzeMatRegion(const image::Volume3D &recon,
-                             const PlanarScales &scales,
-                             models::Detector detector);
+common::Result<MatAnalysis>
+analyzeMatRegion(const image::Volume3D &recon, const PlanarScales &scales,
+                 models::Detector detector);
 
 } // namespace re
 } // namespace hifi

