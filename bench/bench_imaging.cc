@@ -16,7 +16,8 @@
  * `--telemetry <prefix>` instruments the campaign + registration run
  * and writes <prefix>.trace.json / <prefix>.metrics.json (validated
  * in CI by hifi_trace_check); the metrics include the
- * sem.clean_cache.* and mi.exhaustive.evals counters.
+ * sem.clean_cache.* and mi.* counters, and the run fails if the MI
+ * screen re-scores every candidate it screened.
  */
 
 #include <algorithm>
@@ -149,6 +150,20 @@ check(bool ok, const std::string &what)
     }
 }
 
+/// Candidates one registerShiftMi call re-scores exactly after its
+/// screen (its mi.exact_rescored count), measured outside the timing.
+uint64_t
+exactRescores(const Image2D &fixed, const Image2D &moving,
+              const image::MiParams &mi)
+{
+    telemetry::Session session;
+    (void)image::registerShiftMi(fixed, moving, mi);
+    const auto collected = session.finish({});
+    const auto &counters = collected->metrics.counters;
+    const auto it = counters.find("mi.exact_rescored");
+    return it == counters.end() ? 0 : it->second;
+}
+
 } // namespace
 
 int
@@ -204,7 +219,9 @@ main(int argc, char **argv)
         }, quick ? 1 : 3);
         check(fast_shift == ref_shift, row.name);
         row.note = "shift (" + std::to_string(fast_shift.first) + "," +
-            std::to_string(fast_shift.second) + ")";
+            std::to_string(fast_shift.second) + "), " +
+            std::to_string(exactRescores(fixed, moving, mi)) +
+            " exact re-scores";
         rows.push_back(row);
     }
 
@@ -244,7 +261,9 @@ main(int argc, char **argv)
             }, quick ? 1 : 5);
             check(fast_shift == ref_shift, row.name);
             row.note = "shift (" + std::to_string(fast_shift.first) +
-                "," + std::to_string(fast_shift.second) + ")";
+                "," + std::to_string(fast_shift.second) + "), " +
+                std::to_string(exactRescores(pfixed, pmoving, mi)) +
+                " exact re-scores";
             rows.push_back(row);
         }
     }
@@ -440,7 +459,8 @@ main(int argc, char **argv)
             const auto &counters = collected->metrics.counters;
             for (const char *name :
                  {"sem.clean_cache.hit", "sem.clean_cache.miss",
-                  "mi.exhaustive.evals"}) {
+                  "mi.searches", "mi.exhaustive.evals",
+                  "mi.exact_rescored"}) {
                 const auto it = counters.find(name);
                 std::cout << "counter " << name << " = "
                           << (it == counters.end() ? 0 : it->second)
@@ -448,6 +468,13 @@ main(int argc, char **argv)
                 check(it != counters.end() && it->second > 0,
                       std::string("missing counter ") + name);
             }
+            // The MI screen must keep pruning: re-scoring every
+            // screened candidate would leave the counts equal.
+            if (counters.count("mi.exact_rescored") &&
+                counters.count("mi.exhaustive.evals"))
+                check(counters.at("mi.exact_rescored") <
+                          counters.at("mi.exhaustive.evals"),
+                      "MI screen re-scored every candidate");
         }
     }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -24,6 +26,9 @@ namespace
 
 /// Candidate offsets per parallel chunk in the MI shift search.
 constexpr size_t kCandidateGrain = 4;
+
+/// pickBest's tie tolerance on exact MI scores.
+constexpr double kTieTol = 1e-12;
 
 /// Quantize an intensity into [0, bins).
 inline size_t
@@ -157,25 +162,104 @@ miFromJointCounts(MiWorkspace &ws, size_t bins, size_t n)
     return mi;
 }
 
+/// k log k, with 0 log 0 = 0.
+double
+xlogx(size_t k)
+{
+    return k < 2 ? 0.0
+                 : static_cast<double>(k) *
+                       std::log(static_cast<double>(k));
+}
+
+/// Counts below this read k log k from the screen's table; larger
+/// ones (overlaps above 64 Ki pixels) compute it.
+constexpr size_t kXlogxTableSize = size_t{1} << 16;
+
+/**
+ * The screen's table xlogx(k) for k < kXlogxTableSize: static storage
+ * (512 KiB, off the heap), filled once per process on first use, so
+ * no search or candidate pays for its logs.  It is not a heap block:
+ * a long-lived heap block allocated mid-run pinned the heap top and
+ * kept the allocator from trimming it (DESIGN.md).
+ */
+const double *
+xlogxTable()
+{
+    static const struct Table
+    {
+        double v[kXlogxTableSize];
+        Table()
+        {
+            for (size_t k = 0; k < kXlogxTableSize; ++k)
+                v[k] = xlogx(k);
+        }
+    } table;
+    return table.v;
+}
+
+/// xlogx(k) through the table when it covers k; the same double.
+inline double
+xlogxAt(const double *table, size_t k)
+{
+    return k < kXlogxTableSize ? table[k] : xlogx(k);
+}
+
+/**
+ * Screening score of an integer joint histogram, the exact MI in
+ * count form: (sum_c xlogx[c] + xlogx[n] - sum_i xlogx[row_i] -
+ * sum_j xlogx[col_j]) / n.  `count(c)` yields cell c's count (row-major,
+ * fixed bin major); the marginals are exact integers.  Within
+ * miScreenErrorBound of miFromJointCounts, not bitwise equal to it.
+ * The column sums live in a local array (no aliasing with the
+ * counters `count` clears) and each row keeps its own partial sum, so
+ * the cells do not form one serial chain of additions.
+ */
+template <typename Count>
+double
+screenFromCounts(size_t bins, size_t n, Count &&count)
+{
+    const double *xlogx = xlogxTable();
+    uint32_t cols[kMaxMiBins] = {};
+    double cells = 0.0, rows = 0.0;
+    for (size_t i = 0; i < bins; ++i) {
+        uint32_t row = 0;
+        double cells_i = 0.0;
+        for (size_t j = 0; j < bins; ++j) {
+            const uint32_t c = count(i * bins + j);
+            cells_i += xlogxAt(xlogx, c);
+            row += c;
+            cols[j] += c;
+        }
+        cells += cells_i;
+        rows += xlogxAt(xlogx, row);
+    }
+    double colsum = 0.0;
+    for (size_t j = 0; j < bins; ++j)
+        colsum += xlogxAt(xlogx, cols[j]);
+    return (cells + xlogxAt(xlogx, n) - rows - colsum) /
+        static_cast<double>(n);
+}
+
 /**
  * The one joint-histogram scatter kernel, shared by the search and the
  * fused one-shot so they cannot drift.  `rowIndex(y, x0, x1)` returns
  * row y's `at(x)`: the first counter of pixel x's joint cell,
- * `(ia * bins + ib) * kSubHists`, for x in [x0, x1).  The counters are
- * summed into `ws.joint` as exact integers, so the counts — and via
- * miFromJointCounts the score — are bitwise those of the reference.
+ * `(ia * bins + ib) * kSubHists`, for x in [x0, x1).  Returns the
+ * overlap's pixel count n (0, with nothing scattered, for an empty
+ * overlap); takeCell then sums each cell's counters as exact integers
+ * and clears them for the next call.
  */
 template <typename RowIndex>
-double
-scatterMi(MiWorkspace &ws, size_t bins, long w, long h, long dx, long dy,
-          RowIndex &&rowIndex)
+size_t
+scatterPairs(MiWorkspace &ws, size_t bins, long w, long h, long dx,
+             long dy, RowIndex &&rowIndex)
 {
     const long x0 = std::max(0l, dx), x1 = std::min(w, w + dx);
     const long y0 = std::max(0l, dy), y1 = std::min(h, h + dy);
     if (x0 >= x1 || y0 >= y1)
-        return 0.0;
+        return 0;
 
-    // Zero between calls: the summing pass clears what the scatter wrote.
+    // Zero between calls: takeCell clears what the scatter wrote.
     const size_t cells = bins * bins;
     if (ws.sub.size() != cells * kSubHists)
         ws.sub.assign(cells * kSubHists, 0);
@@ -192,15 +276,29 @@ scatterMi(MiWorkspace &ws, size_t bins, long w, long h, long dx, long dy,
         for (size_t lane = 0; x < x1; ++x, ++lane)
             ++sub[at(x) + lane];
     }
-    ws.joint.resize(cells);
-    for (size_t c = 0; c < cells; ++c) {
-        uint32_t *s = sub + c * kSubHists;
-        ws.joint[c] = s[0] + s[1] + s[2] + s[3];
-        s[0] = s[1] = s[2] = s[3] = 0;
-    }
-    return miFromJointCounts(ws, bins,
-                             static_cast<size_t>(x1 - x0) *
-                                 static_cast<size_t>(y1 - y0));
+    return static_cast<size_t>(x1 - x0) * static_cast<size_t>(y1 - y0);
+}
+
+/// Cell c's count from its interleaved counters, which it clears.
+inline uint32_t
+takeCell(MiWorkspace &ws, size_t c)
+{
+    uint32_t *s = ws.sub.data() + c * kSubHists;
+    const uint32_t count = s[0] + s[1] + s[2] + s[3];
+    s[0] = s[1] = s[2] = s[3] = 0;
+    return count;
+}
+
+/// Exact MI of the n scattered pairs, bitwise that of the reference.
+double
+exactFromScatter(MiWorkspace &ws, size_t bins, size_t n)
+{
+    if (n == 0)
+        return 0.0;
+    ws.joint.resize(bins * bins);
+    for (size_t c = 0; c < ws.joint.size(); ++c)
+        ws.joint[c] = takeCell(ws, c);
+    return miFromJointCounts(ws, bins, n);
 }
 
 /**
@@ -230,18 +328,36 @@ struct MiPlanes
     std::vector<uint32_t> fixed, moving;
 };
 
-/// Fast MI at a shift over pre-quantized planes.
-double
-miAtShiftQ(const MiPlanes &p, long dx, long dy, MiWorkspace &ws)
+/// Scatter the overlap at shift (dx, dy) of pre-quantized planes.
+size_t
+scatterPlanes(const MiPlanes &p, long dx, long dy, MiWorkspace &ws)
 {
-    return scatterMi(ws, p.bins, p.width, p.height, dx, dy,
-                     [&](long y, long, long) {
+    return scatterPairs(ws, p.bins, p.width, p.height, dx, dy,
+                        [&](long y, long, long) {
         const uint32_t *ra =
             p.fixed.data() + static_cast<size_t>(y * p.width);
         const uint32_t *rb =
             p.moving.data() + static_cast<size_t>((y - dy) * p.width);
         return [=](long x) { return size_t{ra[x]} + rb[x - dx]; };
     });
+}
+
+/// Exact MI at a shift over pre-quantized planes.
+double
+miAtShiftQ(const MiPlanes &p, long dx, long dy, MiWorkspace &ws)
+{
+    return exactFromScatter(ws, p.bins, scatterPlanes(p, dx, dy, ws));
+}
+
+/// Screening score at a shift over pre-quantized planes.
+double
+screenAtShiftQ(const MiPlanes &p, long dx, long dy, MiWorkspace &ws)
+{
+    const size_t n = scatterPlanes(p, dx, dy, ws);
+    if (n == 0)
+        return 0.0;
+    return screenFromCounts(p.bins, n,
+                            [&](size_t c) { return takeCell(ws, c); });
 }
 
 /**
@@ -261,8 +377,9 @@ miOneShotQ(const Image2D &a, const Image2D &b, long dx, long dy,
 #if HIFI_SIMD_AVX2_COMPILED
     if (common::simd::avx2()) {
         ws.idx.resize(a.width());
-        return scatterMi(ws, bins, w, h, dx, dy,
-                         [&](long y, long x0, long x1) {
+        return exactFromScatter(ws, bins,
+                                scatterPairs(ws, bins, w, h, dx, dy,
+                                             [&](long y, long x0, long x1) {
             quantIndicesAvx2(a.row(static_cast<size_t>(y)) + x0,
                              b.row(static_cast<size_t>(y - dy)) +
                                  (x0 - dx),
@@ -272,10 +389,12 @@ miOneShotQ(const Image2D &a, const Image2D &b, long dx, long dy,
             return [=](long x) {
                 return size_t{idx[x - x0]} * kSubHists;
             };
-        });
+        }));
     }
 #endif
-    return scatterMi(ws, bins, w, h, dx, dy, [&](long y, long, long) {
+    return exactFromScatter(ws, bins,
+                            scatterPairs(ws, bins, w, h, dx, dy,
+                                         [&](long y, long, long) {
         const float *pa = a.row(static_cast<size_t>(y));
         const float *pb = b.row(static_cast<size_t>(y - dy));
         return [=, &r](long x) {
@@ -283,27 +402,59 @@ miOneShotQ(const Image2D &a, const Image2D &b, long dx, long dy,
                     quantize(pb[x - dx], r.blo, r.binv, bins)) *
                 kSubHists;
         };
-    });
+    }));
 }
 
-/// Score candidate shifts (dx, dy) in parallel over quantized planes.
+/**
+ * score[i] = scoreAt(i, ws) for i in [0, n), in parallel over chunks of
+ * kCandidateGrain candidates with one workspace per chunk.  A single
+ * chunk (the usual one-candidate re-score) runs inline: posting it
+ * would add a pool job per search for no parallelism.
+ */
+template <typename ScoreAt>
 std::vector<double>
-scoreCandidates(const MiPlanes &planes,
-                const std::vector<std::pair<long, long>> &cands)
+scoreEach(size_t n, ScoreAt &&scoreAt)
 {
-    std::vector<double> score(cands.size());
-    common::parallelFor(0, cands.size(), kCandidateGrain,
-                        [&](size_t i0, size_t i1) {
+    std::vector<double> score(n);
+    const auto chunk = [&](size_t i0, size_t i1) {
         MiWorkspace ws;
         for (size_t i = i0; i < i1; ++i)
-            score[i] = miAtShiftQ(planes, cands[i].first,
-                                  cands[i].second, ws);
-    });
+            score[i] = scoreAt(i, ws);
+    };
+    if (n <= kCandidateGrain)
+        chunk(0, n);
+    else
+        common::parallelFor(0, n, kCandidateGrain, chunk);
     return score;
 }
 
 /**
- * Winner selection: the highest score, with ties (within 1e-12)
+ * The near-max set of a screen: indices into `screen`, in ascending
+ * (scan) order, of the scores down to the first gap larger than `gap`
+ * in descending order; every index when no such gap exists.
+ */
+std::vector<size_t>
+nearMaxSet(const std::vector<double> &screen, double gap)
+{
+    std::vector<size_t> order(screen.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return screen[a] > screen[b] || (screen[a] == screen[b] && a < b);
+    });
+    size_t keep = order.size();
+    for (size_t k = 0; k + 1 < order.size(); ++k) {
+        if (screen[order[k]] - screen[order[k + 1]] > gap) {
+            keep = k + 1;
+            break;
+        }
+    }
+    order.resize(keep);
+    std::sort(order.begin(), order.end());
+    return order;
+}
+
+/**
+ * Winner selection: the highest score, with ties (within kTieTol)
  * broken by the smallest |dx| + |dy| and then lexicographically by
  * (dy, dx).  A serial scan over precomputed
  * scores, so the result never depends on the thread count.
@@ -318,8 +469,8 @@ pickBest(const std::vector<std::pair<long, long>> &cands,
     for (size_t i = 0; i < cands.size(); ++i) {
         const long dx = cands[i].first, dy = cands[i].second;
         const long l1 = std::labs(dx) + std::labs(dy);
-        const bool wins = !have || score[i] > best + 1e-12;
-        const bool tied = have && !wins && score[i] >= best - 1e-12;
+        const bool wins = !have || score[i] > best + kTieTol;
+        const bool tied = have && !wins && score[i] >= best - kTieTol;
         if (wins ||
             (tied && (l1 < best_l1 ||
                       (l1 == best_l1 &&
@@ -365,6 +516,23 @@ checkBins(size_t bins, const char *who)
     if (bins > kMaxMiBins)
         throw std::invalid_argument(std::string(who) +
                                     ": bins above kMaxMiBins");
+}
+
+/// Validate a bins x bins count histogram; returns its total n.
+size_t
+checkJoint(const std::vector<uint32_t> &joint, size_t bins,
+           const char *who)
+{
+    checkBins(bins, who);
+    if (joint.size() != bins * bins)
+        throw std::invalid_argument(std::string(who) +
+                                    ": joint size is not bins^2");
+    const size_t n =
+        std::accumulate(joint.begin(), joint.end(), size_t{0});
+    if (n > std::numeric_limits<uint32_t>::max())
+        throw std::invalid_argument(std::string(who) +
+                                    ": total count above 2^32 - 1");
+    return n;
 }
 
 } // namespace
@@ -416,22 +584,76 @@ mutualInformationAtShift(const QuantizedPlane &a, const QuantizedPlane &b,
     return miAtShiftQ(MiPlanes(a, b), dx, dy, ws);
 }
 
+double
+jointCountsMi(const std::vector<uint32_t> &joint, size_t bins)
+{
+    const size_t n = checkJoint(joint, bins, "jointCountsMi");
+    MiWorkspace ws;
+    ws.joint = joint;
+    return n == 0 ? 0.0 : miFromJointCounts(ws, bins, n);
+}
+
+double
+jointCountsMiScreen(const std::vector<uint32_t> &joint, size_t bins)
+{
+    const size_t n = checkJoint(joint, bins, "jointCountsMiScreen");
+    if (n == 0)
+        return 0.0;
+    return screenFromCounts(bins, n, [&](size_t c) { return joint[c]; });
+}
+
+double
+miScreenErrorBound(size_t n, size_t bins)
+{
+    const double u = std::numeric_limits<double>::epsilon() / 2.0;
+    const double log_n = std::max(1.0, std::log(static_cast<double>(n)));
+    const double cells = std::min(static_cast<double>(bins * bins),
+                                  static_cast<double>(n));
+    return 4.0 * u * log_n * (cells + 2.0 * static_cast<double>(bins) + 16.0);
+}
+
 std::pair<long, long>
 registerShiftMi(const Image2D &fixed, const Image2D &moving,
                 const MiParams &params)
 {
     checkShape(fixed, moving, "registerShiftMi");
 
-    // Quantize each image exactly once; every candidate offset is
-    // independent, so score them all in parallel and pick the winner
-    // with the serial tie-break scan.
+    // Quantize each image exactly once, then score in two steps (see
+    // the header): screen every candidate from its integer counts, and
+    // re-score exactly only the near-max set.  Every kept candidate's
+    // exact score beats every dropped one's by more than
+    // gap - 2 * eps >= 2 * kTieTol, so in pickBest's scan the first
+    // kept candidate wins against any running best built from dropped
+    // ones, and afterwards no dropped candidate can win or tie: the
+    // scan over the kept set alone picks the full scan's shift.
     const auto cands = windowCandidates(params.maxShift);
-    const std::vector<double> score =
-        scoreCandidates(MiPlanes(fixed, moving, params.bins), cands);
-    if (telemetry::enabled())
+    const MiPlanes planes(fixed, moving, params.bins);
+    const std::vector<double> screen =
+        scoreEach(cands.size(), [&](size_t i, MiWorkspace &ws) {
+            return screenAtShiftQ(planes, cands[i].first,
+                                  cands[i].second, ws);
+        });
+    const double eps = miScreenErrorBound(fixed.size(), params.bins);
+    const double gap = std::max(1e-9, 10.0 * (2.0 * eps + 2.0 * kTieTol));
+    const std::vector<size_t> kept = nearMaxSet(screen, gap);
+
+    std::vector<std::pair<long, long>> kept_cands;
+    kept_cands.reserve(kept.size());
+    for (const size_t i : kept)
+        kept_cands.push_back(cands[i]);
+    const std::vector<double> exact =
+        scoreEach(kept.size(), [&](size_t k, MiWorkspace &ws) {
+            return miAtShiftQ(planes, kept_cands[k].first,
+                              kept_cands[k].second, ws);
+        });
+    if (telemetry::enabled()) {
+        telemetry::registry().counter("mi.searches").add(1);
         telemetry::registry().counter("mi.exhaustive.evals")
             .add(cands.size());
-    return pickBest(cands, score);
+        telemetry::registry().counter("mi.exact_rescored")
+            .add(kept.size());
+    }
+    return pickBest(kept_cands, exact);
 }
 
 double

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -167,6 +168,73 @@ TEST(GoldenPipeline, B5FaultsOnMemoryBudgetEqualsInRam)
     config.memoryBudget = 32ull << 20;
     // Same digest as B5FaultsOn: the budget never changes a report bit.
     EXPECT_EQ(pipelineDigest(config), 0xdadde04465ef79f2ull);
+}
+
+// ---- MI search work counters ---------------------------------------
+// The MI shift search screens every candidate and re-scores exactly
+// only the near-max set (image/registration.hh).  Work counters are
+// deterministic, so they are pinned per run like the digests: equal at
+// 1, 2 and 4 threads, and again under HIFI_SIMD=off, where CI re-runs
+// this suite.  A screen that stopped pruning would push
+// mi.exact_rescored towards mi.exhaustive.evals.
+
+struct MiWork
+{
+    uint64_t searches = 0, evals = 0, rescored = 0;
+};
+
+MiWork
+miWork(core::PipelineConfig config, size_t threads)
+{
+    config.threads = threads;
+    config.telemetry.enabled = true;
+    const auto report = core::runPipelineChecked(config);
+    EXPECT_TRUE(report.ok()) << report.error().message;
+    MiWork work;
+    if (!report.ok() || !report.value().telemetry)
+        return work;
+    const auto &counters = report.value().telemetry->metrics.counters;
+    const auto count = [&](const char *name) -> uint64_t {
+        const auto it = counters.find(name);
+        return it == counters.end() ? 0 : it->second;
+    };
+    work.searches = count("mi.searches");
+    work.evals = count("mi.exhaustive.evals");
+    work.rescored = count("mi.exact_rescored");
+    return work;
+}
+
+void
+expectPinnedMiWork(const core::PipelineConfig &config, MiWork want)
+{
+    for (const size_t threads : {1u, 2u, 4u}) {
+        const MiWork got = miWork(config, threads);
+        EXPECT_EQ(got.searches, want.searches) << "threads " << threads;
+        EXPECT_EQ(got.evals, want.evals) << "threads " << threads;
+        EXPECT_EQ(got.rescored, want.rescored) << "threads " << threads;
+    }
+}
+
+TEST(GoldenPipeline, B5DefaultConfigMiWork)
+{
+    // 476 slice-pair registrations over a +-6 px window (169
+    // candidates each), one exact re-score apiece.
+    constexpr MiWork want{476, 80444, 476};
+    static_assert(100 * want.rescored <= 105 * want.searches);
+    expectPinnedMiWork(goldenConfig("B5"), want);
+}
+
+TEST(GoldenPipeline, B5FaultsOnMiWork)
+{
+    // QC searches (+-8 px) join the registrations.  Two QC searches
+    // meet a dropout (featureless) frame, where every candidate ties
+    // and all 289 are re-scored; every other search re-scores one:
+    // 1609 = (1033 - 2) + 2 * 289.
+    constexpr MiWork want{1033, 241417, 1609};
+    static_assert(want.rescored == (want.searches - 2) + 2 * 289);
+    core::PipelineConfig config = goldenConfig("B5");
+    config.faults.enabled = true;
+    expectPinnedMiWork(config, want);
 }
 
 } // namespace

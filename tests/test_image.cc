@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -468,8 +470,13 @@ TEST(Registration, TelemetryCountsCandidateEvaluations)
 
     const auto &counters = collected->metrics.counters;
     ASSERT_TRUE(counters.count("mi.exhaustive.evals"));
-    // The search scores the full (2*4+1)^2 window.
+    ASSERT_TRUE(counters.count("mi.exact_rescored"));
+    ASSERT_TRUE(counters.count("mi.searches"));
+    EXPECT_EQ(counters.at("mi.searches"), 1u);
+    // The search screens the full (2*4+1)^2 window and re-scores
+    // exactly only the one clear maximum.
     EXPECT_EQ(counters.at("mi.exhaustive.evals"), 81u);
+    EXPECT_EQ(counters.at("mi.exact_rescored"), 1u);
 }
 
 /// Rows of constant runs (lengths 1-6): the equal-bin streaks of a
@@ -553,6 +560,286 @@ TEST(Registration, ScatterKernelsMatchReferenceAcrossTailsAndOverlaps)
             }
         }
     }
+}
+
+// ---- Screened search: equivalence under adversarial inputs ----------
+// registerShiftMi screens every candidate from integer counts and
+// re-scores exactly only the near-max set; these pit it against the
+// full-exact reference search (tests/oracles.hh) where screening is
+// hardest: near-equal maxima, all-tied windows, empty overlaps.
+
+struct SearchRun
+{
+    std::pair<long, long> shift;
+    uint64_t rescored = 0;
+};
+
+/// registerShiftMi plus the number of candidates it re-scored.
+SearchRun
+searchWithWork(const Image2D &fixed, const Image2D &moving,
+               const image::MiParams &mi)
+{
+    telemetry::Session session;
+    SearchRun run;
+    run.shift = image::registerShiftMi(fixed, moving, mi);
+    const auto collected = session.finish({});
+    const auto &counters = collected->metrics.counters;
+    const auto it = counters.find("mi.exact_rescored");
+    run.rescored = it == counters.end() ? 0 : it->second;
+    return run;
+}
+
+/// The search and the reference agree, and the search re-scored at
+/// least one and at most every candidate; returns the re-scored count.
+uint64_t
+expectSearchMatchesReference(const Image2D &fixed, const Image2D &moving,
+                             const image::MiParams &mi,
+                             const std::string &what)
+{
+    const SearchRun run = searchWithWork(fixed, moving, mi);
+    EXPECT_EQ(run.shift, oracle::registerShiftMiReference(fixed, moving,
+                                                          mi))
+        << what;
+    const auto side = static_cast<uint64_t>(2 * mi.maxShift + 1);
+    EXPECT_GE(run.rescored, 1u) << what;
+    EXPECT_LE(run.rescored, side * side) << what;
+    return run.rescored;
+}
+
+/// Vertical bars of the given period (half bright), plus noise.
+Image2D
+grating(size_t w, size_t h, long period, double noise, uint64_t seed)
+{
+    Rng rng(seed);
+    Image2D img(w, h);
+    for (size_t y = 0; y < h; ++y)
+        for (size_t x = 0; x < w; ++x)
+            img.at(x, y) = (static_cast<long>(x) % period < period / 2
+                                ? 0.8f
+                                : 0.2f) +
+                static_cast<float>(noise * rng.gaussian());
+    return img;
+}
+
+TEST(Registration, ScreenedSearchMatchesReferenceOnPeriodicGrating)
+{
+    // A 10 px grating: the shifts d and d - 10 score almost alike
+    // (the QC aliasing case), and without noise every dy of one dx
+    // ties, so the near-max set holds many candidates.
+    for (const double noise : {0.0, 0.05}) {
+        const Image2D fixed = grating(44, 65, 10, noise, 3);
+        for (const long true_dx : {3l, -5l}) {
+            Image2D moving = fixed.shifted(true_dx, 1);
+            if (noise > 0.0) {
+                Rng rng(17 + static_cast<uint64_t>(true_dx + 10));
+                image::addGaussianNoise(moving, noise, rng);
+            }
+            for (const long span : {8l, 12l}) {
+                for (const size_t bins : {2u, 16u, 256u}) {
+                    // The reference's 256-bin scan is slow; one span
+                    // of it is enough.
+                    if (bins == 256 && span != 8)
+                        continue;
+                    image::MiParams mi;
+                    mi.maxShift = span;
+                    mi.bins = bins;
+                    const uint64_t rescored =
+                        expectSearchMatchesReference(
+                            fixed, moving, mi,
+                            "grating noise " + std::to_string(noise) +
+                                " dx " + std::to_string(true_dx) +
+                                " span " + std::to_string(span) +
+                                " bins " + std::to_string(bins));
+                    if (noise == 0.0) {
+                        EXPECT_GT(rescored, 1u)
+                            << "noiseless grating ties rows";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Registration, ScreenedSearchRescoresEveryCandidateOnFlatWindows)
+{
+    // Constant frames score 0 at every shift: no gap, so every
+    // candidate is re-scored and the tie-break alone picks (0, 0).
+    const Image2D flat_a(20, 16, 0.5f);
+    const Image2D flat_b(20, 16, 0.7f);
+    const Image2D noisy = noisyImage(20, 16, 41);
+    for (const size_t bins : {2u, 16u, 256u}) {
+        image::MiParams mi;
+        mi.maxShift = 5;
+        mi.bins = bins;
+        const std::string at = "bins " + std::to_string(bins);
+        EXPECT_EQ(expectSearchMatchesReference(flat_a, flat_b, mi,
+                                               at + " flat/flat"),
+                  121u);
+        EXPECT_EQ(expectSearchMatchesReference(flat_a, flat_a, mi,
+                                               at + " identical flat"),
+                  121u);
+        EXPECT_EQ(expectSearchMatchesReference(flat_a, noisy, mi,
+                                               at + " flat/noisy"),
+                  121u);
+        // Identical structured frames: one clear maximum at (0, 0).
+        expectSearchMatchesReference(noisy, noisy, mi, at + " identical");
+        EXPECT_EQ(oracle::registerShiftMiReference(noisy, noisy, mi),
+                  (std::pair<long, long>{0, 0}))
+            << at;
+    }
+}
+
+TEST(Registration, ScreenedSearchMatchesReferenceOnTinyFrames)
+{
+    // 1xN, Nx1 and tiny frames with the window at or past the frame
+    // size, so many candidates have empty overlaps (score 0).
+    const std::pair<size_t, size_t> sizes[] = {
+        {1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 5}, {5, 3}};
+    for (const auto &[w, h] : sizes) {
+        const Image2D a = noisyImage(w, h, 300 + w * 31 + h);
+        const Image2D b = noisyImage(w, h, 400 + w * 31 + h);
+        const Image2D runs = runImage(w, h, 500 + w * 31 + h);
+        const long extent = static_cast<long>(std::max(w, h));
+        for (const long span : {extent - 1, extent, extent + 2}) {
+            for (const size_t bins : {2u, 16u, 256u}) {
+                image::MiParams mi;
+                mi.maxShift = span;
+                mi.bins = bins;
+                const std::string at = std::to_string(w) + "x" +
+                    std::to_string(h) + " span " + std::to_string(span) +
+                    " bins " + std::to_string(bins);
+                expectSearchMatchesReference(a, b, mi, at);
+                expectSearchMatchesReference(a, runs, mi, at + " runs");
+            }
+        }
+    }
+}
+
+TEST(Registration, ScreenedSearchMatchesReferenceAtAnyThreadCount)
+{
+    // Random pairs, related (a noisy shifted copy) and unrelated
+    // (independent noise, where every score sits near the MI bias):
+    // same shift as the reference and the same re-scored count at
+    // 1, 2 and 4 threads.
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        const Image2D fixed = noisyImage(44, 65, 600 + seed);
+        Image2D related = fixed.shifted(static_cast<long>(seed % 5) - 2,
+                                        static_cast<long>(seed % 3) - 1);
+        image::addGaussianNoise(related, 0.3, rng);
+        const Image2D unrelated = noisyImage(44, 65, 700 + seed);
+        for (const Image2D *moving :
+             std::initializer_list<const Image2D *>{&related,
+                                                   &unrelated}) {
+            image::MiParams mi;
+            mi.maxShift = 8;
+            mi.bins = 16;
+            const auto want =
+                oracle::registerShiftMiReference(fixed, *moving, mi);
+            std::optional<uint64_t> rescored;
+            for (const size_t threads : {1u, 2u, 4u}) {
+                const common::ScopedThreads scoped(threads);
+                const SearchRun run = searchWithWork(fixed, *moving, mi);
+                const std::string at = "seed " + std::to_string(seed) +
+                    (moving == &related ? " related" : " unrelated") +
+                    " threads " + std::to_string(threads);
+                EXPECT_EQ(run.shift, want) << at;
+                if (!rescored)
+                    rescored = run.rescored;
+                EXPECT_EQ(run.rescored, *rescored) << at;
+            }
+        }
+    }
+}
+
+/// Random bins x bins joint histogram of n draws in one of several
+/// shapes, from independent (MI near 0, the most cancellation in the
+/// count form) to near-diagonal (MI near ln bins).
+std::vector<uint32_t>
+randomJoint(size_t bins, size_t n, int shape, Rng &rng)
+{
+    std::vector<uint32_t> joint(bins * bins, 0);
+    const auto skewed = [&] {
+        // Heavily non-uniform marginal: bin k with weight ~ 1/(k+1)^2.
+        const double u = rng.uniform();
+        return std::min(bins - 1,
+                        static_cast<size_t>(1.0 / (1.0 - u * 0.999)) - 1);
+    };
+    for (size_t k = 0; k < n; ++k) {
+        size_t i = 0, j = 0;
+        switch (shape) {
+        case 0: // independent uniform
+            i = rng.below(bins);
+            j = rng.below(bins);
+            break;
+        case 1: // near-diagonal
+            i = rng.below(bins);
+            j = rng.uniform() < 0.9 ? i : rng.below(bins);
+            break;
+        case 2: // skewed marginals, loosely coupled
+            i = skewed();
+            j = rng.uniform() < 0.5 ? i : skewed();
+            break;
+        default: // a handful of heavy cells
+            i = rng.below(std::min<size_t>(bins, 3));
+            j = (i + rng.below(2)) % bins;
+            break;
+        }
+        ++joint[i * bins + j];
+    }
+    return joint;
+}
+
+TEST(Registration, ScreenScoreIsWithinItsErrorBoundOfTheExactScore)
+{
+    // |screen - exact| <= eps(n, bins) is what lets the search drop
+    // candidates: its gap G is at least 10 (2 eps + 2e-12).
+    Rng rng(2024);
+    double worst = 0.0; // largest |screen - exact| / eps seen
+    for (const size_t bins : {2u, 16u, 64u, 256u}) {
+        for (const size_t n : {1u, 7u, 1000u, 44u * 65u, 128u * 96u,
+                               512u * 512u}) {
+            for (int shape = 0; shape < 4; ++shape) {
+                const auto joint = randomJoint(bins, n, shape, rng);
+                const double exact = image::jointCountsMi(joint, bins);
+                const double screen =
+                    image::jointCountsMiScreen(joint, bins);
+                const double eps = image::miScreenErrorBound(n, bins);
+                ASSERT_GT(eps, 0.0);
+                EXPECT_LE(std::fabs(screen - exact), eps)
+                    << "bins " << bins << " n " << n << " shape "
+                    << shape;
+                worst = std::max(worst, std::fabs(screen - exact) / eps);
+            }
+        }
+        // One cell holding 2^18 counts (a power of two, so the exact
+        // form's p is exactly 1): both forms are exactly 0.
+        std::vector<uint32_t> one(bins * bins, 0);
+        one[bins + 1 < one.size() ? bins + 1 : 0] = 512u * 512u;
+        EXPECT_EQ(image::jointCountsMiScreen(one, bins), 0.0);
+        EXPECT_EQ(image::jointCountsMi(one, bins), 0.0);
+    }
+    RecordProperty("worst_error_over_bound", std::to_string(worst));
+    // The bound grows with the overlap, so a search's largest overlap
+    // covers all its candidates.
+    EXPECT_LT(image::miScreenErrorBound(44 * 65, 16),
+              image::miScreenErrorBound(512 * 512, 16));
+    EXPECT_LT(image::miScreenErrorBound(512 * 512, 16),
+              image::miScreenErrorBound(512 * 512, 256));
+}
+
+TEST(Registration, JointCountEntryPointsRejectBadHistograms)
+{
+    const std::vector<uint32_t> joint(16, 1);
+    EXPECT_THROW(image::jointCountsMi(joint, 5), std::invalid_argument);
+    EXPECT_THROW(image::jointCountsMiScreen(joint, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(image::jointCountsMiScreen(
+                     std::vector<uint32_t>(4, 0x80000000u), 2),
+                 std::invalid_argument);
+    EXPECT_EQ(image::jointCountsMiScreen(std::vector<uint32_t>(4, 0), 2),
+              0.0);
+    EXPECT_EQ(image::jointCountsMi(std::vector<uint32_t>(4, 0), 2), 0.0);
 }
 
 TEST(Registration, BinCountAboveCapIsRejected)
