@@ -415,7 +415,7 @@ main(int argc, char **argv)
         scope::FaultParams faults;
         faults = faults.scaled(2.0);
         faults.enabled = true;
-        scope::RecoveryParams recovery;
+        const scope::RecoveryParams recovery;
         const size_t reps = quick ? 1 : 5;
 
         size_t retries = 0;
@@ -426,23 +426,8 @@ main(int argc, char **argv)
                                      recovery, 42)
                           .retries;
         }, reps);
-
-        // Same campaign with the clean-frame cache disabled, to
-        // isolate its contribution; the results must be identical.
-        scope::RecoveryParams no_cache = recovery;
-        no_cache.reuseCleanFrames = false;
-        size_t retries_nc = 0;
-        Row row_nc;
-        row_nc.name = "acquire_robust_2x_no_clean_cache";
-        row_nc.fastMs = medianMs([&] {
-            retries_nc = scope::acquire(scene, params, faults,
-                                        no_cache, 42)
-                             .retries;
-        }, reps);
-        check(retries == retries_nc, "clean cache changes retries");
         row.note = std::to_string(retries) + " retries";
         rows.push_back(row);
-        rows.push_back(row_nc);
 
         // Instrumented run: spans with image./scope. prefixes plus
         // the fast-path counters land in the exported files.

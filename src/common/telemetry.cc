@@ -42,17 +42,14 @@ nowNs()
 thread_local uint64_t t_boundSession = 0;
 
 /**
- * Registry of the currently active sessions.  The hot paths only
- * read the two atomics; the set behind the mutex is touched on
- * session construction / teardown.  `sole` caches the id of the
- * single active session (0 when none or several), which is what
- * unbound threads attribute their records to.
+ * Registry of the currently active sessions: how many there are
+ * (the first one clears stale buffers, the last one disables
+ * collection) and the next id to hand out.
  */
 struct ActiveSessions
 {
     std::mutex mu;
-    std::vector<uint64_t> ids;
-    std::atomic<uint64_t> sole{0};
+    size_t count = 0;
     std::atomic<uint64_t> nextId{1};
 };
 
@@ -204,6 +201,8 @@ formatDouble(double v)
 void
 Span::begin(const char *name)
 {
+    if (t_boundSession == 0)
+        return; // unbound threads record nothing
     name_ = name;
     startNs_ = nowNs();
     ThreadBuffer &buf = localBuffer();
@@ -226,9 +225,9 @@ Span::end()
     // single global origin any more).
     rec.startNs = startNs_;
     rec.durationNs = end_ns > startNs_ ? end_ns - startNs_ : 0;
-    rec.session = t_boundSession
-        ? t_boundSession
-        : activeSessions().sole.load(std::memory_order_relaxed);
+    rec.session = t_boundSession;
+    if (rec.session == 0)
+        return; // the session ended inside the span: nobody drains it
     std::lock_guard<std::mutex> lock(buf.mu);
     buf.records.push_back(rec);
 }
@@ -299,18 +298,6 @@ ScopedSessionBinding::~ScopedSessionBinding()
 }
 
 } // namespace detail
-
-SessionBind::SessionBind(Session &session)
-    : previous_(t_boundSession)
-{
-    t_boundSession = session.id();
-    session.bound_.store(true, std::memory_order_relaxed);
-}
-
-SessionBind::~SessionBind()
-{
-    t_boundSession = previous_;
-}
 
 // ---- Histogram -----------------------------------------------------
 
@@ -563,32 +550,24 @@ writeTextFile(const std::string &path, const std::string &text)
 namespace
 {
 
-/// Register / deregister one session; keeps the `sole` cache and the
-/// global enable flag consistent with the active set.
+/// Register / deregister one session; keeps the global enable flag
+/// consistent with the active count.
 void
-registerSession(uint64_t id)
+registerSession()
 {
     ActiveSessions &active = activeSessions();
     std::lock_guard<std::mutex> lock(active.mu);
-    if (active.ids.empty())
+    if (active.count++ == 0)
         clearTrace(); // no reader left for stale records
-    active.ids.push_back(id);
-    active.sole.store(active.ids.size() == 1 ? active.ids.front() : 0,
-                      std::memory_order_relaxed);
     detail::g_enabled.store(true, std::memory_order_relaxed);
 }
 
 void
-deregisterSession(uint64_t id)
+deregisterSession()
 {
     ActiveSessions &active = activeSessions();
     std::lock_guard<std::mutex> lock(active.mu);
-    active.ids.erase(
-        std::remove(active.ids.begin(), active.ids.end(), id),
-        active.ids.end());
-    active.sole.store(active.ids.size() == 1 ? active.ids.front() : 0,
-                      std::memory_order_relaxed);
-    if (active.ids.empty())
+    if (--active.count == 0)
         detail::g_enabled.store(false, std::memory_order_relaxed);
 }
 
@@ -647,17 +626,19 @@ drainRoutedDeltas(uint64_t id)
 } // namespace
 
 Session::Session()
+    : id_(activeSessions().nextId.fetch_add(1)), startNs_(nowNs()),
+      previousBinding_(t_boundSession)
 {
-    id_ = activeSessions().nextId.fetch_add(1);
-    startNs_ = nowNs();
-    baseline_ = registry().snapshot();
-    registerSession(id_);
+    registerSession();
+    t_boundSession = id_;
 }
 
 Session::~Session()
 {
-    if (!finished_)
-        deregisterSession(id_);
+    if (finished_)
+        return;
+    deregisterSession();
+    t_boundSession = previousBinding_;
 }
 
 std::shared_ptr<const PipelineTelemetry>
@@ -666,7 +647,8 @@ Session::finish(const TelemetryConfig &config)
     if (finished_)
         return result_;
     finished_ = true;
-    deregisterSession(id_);
+    deregisterSession();
+    t_boundSession = previousBinding_;
 
     auto out = std::make_shared<PipelineTelemetry>();
     {
@@ -703,12 +685,7 @@ Session::finish(const TelemetryConfig &config)
         ++t.count;
         t.wallNs += s.durationNs;
     }
-    // A session that was ever bound to a thread collects the routed
-    // per-session deltas (safe under concurrency); an unbound one
-    // keeps the legacy whole-registry baseline diff.
-    out->metrics = bound_.load(std::memory_order_relaxed)
-        ? drainRoutedDeltas(id_)
-        : registry().snapshot().since(baseline_);
+    out->metrics = drainRoutedDeltas(id_);
 
     if (!config.tracePath.empty())
         writeTextFile(config.tracePath, out->traceJson());

@@ -23,25 +23,18 @@
  * When disabled (the default), every instrumentation site reduces to
  * one relaxed atomic load and a predictable branch.
  *
- * Collection is scoped by a `Session`.  Sessions may now run
- * concurrently (the campaign service traces every job): each session
- * has a unique id, span records are tagged with the session that owns
- * them, and finish() drains only that session's records.  Attribution
- * rules:
- *
- *  - A thread bound via `SessionBind` tags its spans and metric
- *    deltas with the bound session.  The thread pool propagates the
- *    submitting thread's binding to its workers, so fan-outs stay
- *    attributed to the job that launched them.
- *  - An unbound thread attributes to the *sole* active session when
- *    exactly one is active (the classic single-session flow needs no
- *    binding and behaves exactly as before); with several concurrent
- *    sessions, unbound records are unattributed and dropped.
- *  - Metric deltas: an unbound session computes registry deltas from
- *    its construction-time baseline (the legacy behaviour).  A
- *    session that was ever bound collects per-thread routed deltas
- *    instead, so two concurrent jobs cannot corrupt each other's
- *    counts.  Gauges stay global last-write-wins either way.
+ * Collection is scoped by a `Session`.  Sessions may run concurrently
+ * (the campaign service traces every job), so attribution follows
+ * one rule: a session binds the thread that opens it, and only bound
+ * threads record.  Spans ended and counter / histogram updates made
+ * on a bound thread are tagged with its session; the thread pool
+ * re-applies the submitting thread's binding on its workers, so a
+ * fan-out stays attributed to the job that launched it.  An unbound
+ * thread records no spans and no metric deltas, whatever sessions
+ * are active elsewhere.  finish() drains only its own session's
+ * records.  Gauges stay global last-write-wins, and the registry's
+ * global totals count every thread (MetricsSnapshot::since gives
+ * whole-process deltas).
  */
 
 #ifndef HIFI_COMMON_TELEMETRY_HH
@@ -117,16 +110,16 @@ struct SpanRecord
     uint64_t startNs = 0;   ///< ns since session start
     uint64_t durationNs = 0;
 
-    /// Owning session id; 0 while buffered means unattributed (the
-    /// record was produced with several sessions active and no
-    /// thread binding).  finish() only claims its own records.
+    /// Owning session id (the recording thread's binding); finish()
+    /// only claims its own records.
     uint64_t session = 0;
 };
 
 /**
  * RAII tracing span.  When telemetry is disabled construction and
- * destruction are a flag check each; when enabled the destructor
- * appends one record to the calling thread's buffer.
+ * destruction are a flag check each; when enabled and the calling
+ * thread is bound to a session the destructor appends one record to
+ * the thread's buffer.
  *
  * @param name must be a string literal (or otherwise outlive the
  *             session); the record stores the pointer, not a copy.
@@ -365,14 +358,14 @@ struct PipelineTelemetry
 };
 
 /**
- * RAII collection scope.  Construction registers the session as
- * active (clearing stale span buffers when it is the first one),
- * snapshots the metrics baseline and enables collection; finish()
- * (or destruction) deregisters it, disabling collection when no
- * session remains.  finish() drains this session's spans, computes
- * metric deltas and writes the files named by `config`.  Concurrent
- * sessions are supported — see the file comment for the attribution
- * rules.
+ * RAII collection scope, opened and closed on one thread.
+ * Construction registers the session as active (clearing stale span
+ * buffers when it is the first one), enables collection and binds the
+ * calling thread to it; finish() (or destruction) deregisters it,
+ * restores the thread's previous binding (so sessions nest) and
+ * disables collection when no session remains.  finish() drains this
+ * session's spans and routed metric deltas and writes the files named
+ * by `config`.  See the file comment for the attribution rule.
  */
 class Session
 {
@@ -392,34 +385,11 @@ class Session
     finish(const TelemetryConfig &config);
 
   private:
-    friend class SessionBind;
-
-    MetricsSnapshot baseline_;
     std::shared_ptr<const PipelineTelemetry> result_;
     uint64_t id_ = 0;
     uint64_t startNs_ = 0;
-    std::atomic<bool> bound_{false};
+    uint64_t previousBinding_ = 0;
     bool finished_ = false;
-};
-
-/**
- * Bind the calling thread to a session: spans ended and counter /
- * histogram updates made on this thread (and on pool workers running
- * fan-outs it submits) are attributed to the session, even while
- * other sessions run concurrently on other threads.  Restores the
- * previous binding on destruction.
- */
-class SessionBind
-{
-  public:
-    explicit SessionBind(Session &session);
-    ~SessionBind();
-
-    SessionBind(const SessionBind &) = delete;
-    SessionBind &operator=(const SessionBind &) = delete;
-
-  private:
-    uint64_t previous_ = 0;
 };
 
 /// Drop all buffered span records (used by tests and Session).

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
+#include "common/fnv.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "fab/defects.hh"
@@ -159,41 +159,10 @@ sampleScenario(uint64_t seed)
 namespace
 {
 
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ull;
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 1099511628211ull;
-        }
-    }
-
-    void
-    f64(double v)
-    {
-        uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
-    }
-
-    void
-    rect(const common::Rect &r)
-    {
-        f64(r.x0);
-        f64(r.y0);
-        f64(r.x1);
-        f64(r.y1);
-    }
-};
-
 uint64_t
 analysisSignature(const re::RegionAnalysis &a)
 {
-    Fnv f;
+    common::Fnv1a f;
     f.u64(static_cast<uint64_t>(a.topology));
     f.u64(a.commonGateStrips);
     f.u64(a.bitlines.size());
@@ -221,7 +190,7 @@ analysisSignature(const re::RegionAnalysis &a)
 uint64_t
 reportSignature(const PipelineReport &r)
 {
-    Fnv f;
+    common::Fnv1a f;
     f.u64(analysisSignature(r.analysis));
     f.u64(r.slices);
     f.u64(r.retries);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/parallel.hh"
 #include "core/stages.hh"
 #include "fab/voxelizer.hh"
 #include "scope/fib.hh"
@@ -122,39 +121,6 @@ scoreSiliconDefects(SiliconDefectReport &rep)
             ++rep.spurious;
 }
 
-namespace
-{
-
-/**
- * Pipeline body; assumes the configuration already validated.  The
- * stage bodies live in core/stages.cc — this runner drives them
- * back-to-back through one span and one thread-count override, so an
- * uninterrupted run produces the exact trace shape (and, stage by
- * stage, the exact report) the monolithic implementation did.  The
- * campaign service drives the same bodies one runStage call at a
- * time, checkpointing between them.
- */
-common::Result<PipelineReport>
-runValidatedPipeline(const PipelineConfig &config)
-{
-    const telemetry::Span span("pipeline.run");
-    const common::ScopedThreads threads(config.threads);
-
-    StagedState state;
-    const models::ChipSpec &chip = models::chip(config.chipId);
-    state.report.chipId = chip.id;
-    state.report.trueTopology = chip.topology;
-    while (state.next != Stage::Done)
-        if (const auto err = detail::runStageUnguarded(config, state))
-            return common::Result<PipelineReport>(*err);
-    return common::Result<PipelineReport>(std::move(state.report));
-}
-
-/**
- * End an active session into the report: attach the collected spans
- * and metric deltas, and write the QC audit trail if a path was
- * configured (the trace / metrics files are written by finish()).
- */
 void
 finishTelemetry(telemetry::Session &session,
                 const PipelineConfig &config, PipelineReport &report)
@@ -165,38 +131,34 @@ finishTelemetry(telemetry::Session &session,
                                  scope::qcAuditJson(report.qcAudit));
 }
 
-} // namespace
-
 common::Result<PipelineReport>
 runPipelineChecked(const PipelineConfig &config)
 {
-    // Bind the session to this thread (and, via the pool, to every
-    // fan-out it spawns) so concurrent runs attribute their spans
-    // and metric deltas to their own sessions.
+    using R = common::Result<PipelineReport>;
+    // The session binds this thread (and, through the pool, every
+    // fan-out it submits), so concurrent runs keep their spans and
+    // metric deltas apart.
     std::optional<telemetry::Session> session;
-    std::optional<telemetry::SessionBind> bind;
-    if (config.telemetry.enabled) {
+    if (config.telemetry.enabled)
         session.emplace();
-        bind.emplace(*session);
-    }
+    auto init = [&] {
+        const telemetry::Span span("pipeline.validate");
+        return initStagedRun(config);
+    }();
+    if (!init.ok())
+        return R(init.error());
+    StagedState state = init.takeValue();
     {
-        const telemetry::Span vspan("pipeline.validate");
-        if (const auto err = validateConfig(config))
-            return common::Result<PipelineReport>(*err);
+        // The same stage loop the campaign service drives, minus the
+        // checkpoints between stages.
+        const telemetry::Span span("pipeline.run");
+        while (state.next != Stage::Done)
+            if (const auto err = runStage(config, state))
+                return R(*err);
     }
-    try {
-        auto result = runValidatedPipeline(config);
-        if (!result.ok())
-            return result;
-        PipelineReport report = result.takeValue();
-        if (session)
-            finishTelemetry(*session, config, report);
-        return common::Result<PipelineReport>(std::move(report));
-    } catch (const std::exception &e) {
-        return common::Result<PipelineReport>::failure(
-            common::ErrorCode::Internal,
-            std::string("pipeline failed: ") + e.what());
-    }
+    if (session)
+        finishTelemetry(*session, config, state.report);
+    return R(std::move(state.report));
 }
 
 } // namespace core

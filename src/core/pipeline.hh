@@ -292,6 +292,17 @@ struct PipelineReport
 common::Result<PipelineReport>
 runPipelineChecked(const PipelineConfig &config);
 
+/**
+ * End a run's telemetry session into its report: attach the spans and
+ * metric deltas (finish() writes the trace and metrics files) and
+ * write the QC audit trail when `config.telemetry.qcAuditPath` is set.
+ * Call on the thread that opened the session; runPipelineChecked and
+ * the campaign service both end their runs through it.
+ */
+void finishTelemetry(telemetry::Session &session,
+                     const PipelineConfig &config,
+                     PipelineReport &report);
+
 /** Repeatability over independent acquisitions (different seeds). */
 struct Repeatability
 {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/fnv.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "fab/voxelizer.hh"
@@ -420,43 +420,30 @@ initStagedRun(const PipelineConfig &config)
     return common::Result<StagedState>(std::move(state));
 }
 
-namespace detail
-{
-
-std::optional<common::Error>
-runStageUnguarded(const PipelineConfig &config, StagedState &state)
-{
-    switch (state.next) {
-      case Stage::Fab:
-        return stageFab(config, state);
-      case Stage::Acquire:
-        return stageAcquire(config, state);
-      case Stage::Postprocess:
-        return stagePostprocess(config, state);
-      case Stage::Analyze:
-        return stageAnalyze(config, state);
-      case Stage::Finalize:
-        return stageFinalize(config, state);
-      case Stage::Done:
-        break;
-    }
-    return common::Error{common::ErrorCode::FailedPrecondition,
-                         "runStage: pipeline already completed"};
-}
-
-} // namespace detail
-
 std::optional<common::Error>
 runStage(const PipelineConfig &config, StagedState &state)
 {
-    if (state.next == Stage::Done)
+    const Stage stage = state.next;
+    if (stage == Stage::Done)
         return common::Error{common::ErrorCode::FailedPrecondition,
                              "runStage: pipeline already completed"};
     const common::ScopedThreads threads(config.threads);
-    const telemetry::Span span(stageSpanName(state.next));
-    const Stage stage = state.next;
+    const telemetry::Span span(stageSpanName(stage));
     try {
-        return detail::runStageUnguarded(config, state);
+        switch (stage) {
+          case Stage::Fab:
+            return stageFab(config, state);
+          case Stage::Acquire:
+            return stageAcquire(config, state);
+          case Stage::Postprocess:
+            return stagePostprocess(config, state);
+          case Stage::Analyze:
+            return stageAnalyze(config, state);
+          case Stage::Finalize:
+            return stageFinalize(config, state);
+          case Stage::Done:
+            break; // rejected above
+        }
     } catch (const std::exception &e) {
         return common::Error{
             common::ErrorCode::Internal,
@@ -468,62 +455,15 @@ runStage(const PipelineConfig &config, StagedState &state)
             std::string("stage ") + stageName(stage) +
                 " failed with a non-standard exception"};
     }
+    return std::nullopt;
 }
 
 // ---- Report digest -------------------------------------------------
 
-namespace
-{
-
-/// FNV-1a accumulator (mirrors the fuzz harness's signature hashing).
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ull;
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    }
-
-    void
-    d(double v)
-    {
-        uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v), "bit pun");
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        for (const char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-    }
-
-    void
-    rect(const common::Rect &r)
-    {
-        d(r.x0);
-        d(r.y0);
-        d(r.x1);
-        d(r.y1);
-    }
-};
-
-} // namespace
-
 uint64_t
 reportDigest(const PipelineReport &report)
 {
-    Fnv f;
+    common::Fnv1a f;
     f.str(report.chipId);
     f.u64(static_cast<uint64_t>(report.trueTopology));
     f.u64(static_cast<uint64_t>(report.extractedTopology));
@@ -536,19 +476,19 @@ reportDigest(const PipelineReport &report)
     f.u64(report.bitlinesTrue);
     f.u64(report.crossCouplingConsistent);
     f.str(report.matchedTemplate);
-    f.d(report.matchScore);
+    f.f64(report.matchScore);
     f.u64(report.slices);
-    f.d(report.alignmentResidualPx);
+    f.f64(report.alignmentResidualPx);
     f.u64(report.alignmentBudgetMet);
     f.u64(report.roles.size());
     for (const auto &[role, rec] : report.roles) {
         f.u64(static_cast<uint64_t>(role));
-        f.d(rec.trueW);
-        f.d(rec.trueL);
-        f.d(rec.measuredW);
-        f.d(rec.measuredL);
+        f.f64(rec.trueW);
+        f.f64(rec.trueL);
+        f.f64(rec.measuredW);
+        f.f64(rec.measuredL);
     }
-    f.d(report.maxDimErrorNm);
+    f.f64(report.maxDimErrorNm);
 
     f.u64(report.slicesRetried);
     f.u64(report.retries);
@@ -559,18 +499,18 @@ reportDigest(const PipelineReport &report)
     f.u64(report.slicesUnrecoverable);
     f.u64(report.faultsInjected);
     f.u64(report.faultsDetected);
-    f.d(report.qcConfidence);
+    f.f64(report.qcConfidence);
     f.u64(report.degraded);
 
     const scope::CampaignCost &c = report.campaign;
     f.u64(c.slices);
-    f.d(c.pixelsPerImage);
-    f.d(c.millSecondsPerSlice);
-    f.d(c.imageSecondsPerSlice);
-    f.d(c.secondsPerSlice);
+    f.f64(c.pixelsPerImage);
+    f.f64(c.millSecondsPerSlice);
+    f.f64(c.imageSecondsPerSlice);
+    f.f64(c.secondsPerSlice);
     f.u64(c.reimagedSlices);
-    f.d(c.retryHours);
-    f.d(c.totalHours);
+    f.f64(c.retryHours);
+    f.f64(c.totalHours);
 
     const SiliconDefectReport &sd = report.siliconDefects;
     f.u64(sd.planted.size());
@@ -601,8 +541,8 @@ reportDigest(const PipelineReport &report)
     for (const auto &dev : a.devices) {
         f.u64(static_cast<uint64_t>(dev.role));
         f.rect(dev.gate);
-        f.d(dev.wNm);
-        f.d(dev.lNm);
+        f.f64(dev.wNm);
+        f.f64(dev.lNm);
         f.u64(static_cast<uint64_t>(dev.bitline));
         f.u64(static_cast<uint64_t>(dev.couplesTo));
     }
@@ -628,12 +568,12 @@ reportDigest(const PipelineReport &report)
             f.u64(att.contentConfirmed);
             f.u64(att.accepted);
             const image::QcMetrics &m = att.metrics;
-            f.d(m.snr);
-            f.d(m.focusScore);
-            f.d(m.saturationFraction);
-            f.d(m.deadRowFraction);
-            f.d(m.stripeScore);
-            f.d(m.miVsPrev);
+            f.f64(m.snr);
+            f.f64(m.focusScore);
+            f.f64(m.saturationFraction);
+            f.f64(m.deadRowFraction);
+            f.f64(m.stripeScore);
+            f.f64(m.miVsPrev);
             f.u64(static_cast<uint64_t>(m.shiftX));
             f.u64(static_cast<uint64_t>(m.shiftY));
             f.u64(m.flags);

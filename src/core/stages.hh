@@ -138,15 +138,6 @@ std::optional<common::Error> runStage(const PipelineConfig &config,
  */
 uint64_t reportDigest(const PipelineReport &report);
 
-namespace detail
-{
-/// Stage body without the thread-override / span / exception guard —
-/// the monolithic runner applies those once around the whole loop.
-/// May throw; callers outside pipeline.cc want runStage instead.
-std::optional<common::Error>
-runStageUnguarded(const PipelineConfig &config, StagedState &state);
-} // namespace detail
-
 } // namespace core
 } // namespace hifi
 

@@ -1,10 +1,10 @@
 #include "image/tile_store.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "common/fnv.hh"
 #include "common/telemetry.hh"
 
 namespace hifi
@@ -21,46 +21,6 @@ constexpr uint64_t kTileMagic = 0x48494649544c3154ull; // "HIFITL1T"
 /// digest is stored redundantly (file name and header) so a tile
 /// renamed to the wrong digest is caught as DataLoss, not served.
 constexpr size_t kTileHeaderBytes = 3 * sizeof(uint64_t);
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-/// P^8 mod 2^64.  A zero byte leaves `h ^= 0` a no-op, so eight of
-/// them amount to one `h *= P^8`.
-constexpr uint64_t kFnvPrime8 = [] {
-    uint64_t p = 1;
-    for (int i = 0; i < 8; ++i)
-        p *= kFnvPrime;
-    return p;
-}();
-
-/// Byte-wise FNV-1a.  All-zero 8-byte words (the zero padding of
-/// border tiles, empty space in the volume) take the exact P^8
-/// multiply instead of eight byte steps.
-uint64_t
-fnvBytes(const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    uint64_t h = kFnvOffset;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t word = 0;
-        std::memcpy(&word, p + i, sizeof(word));
-        if (word == 0) {
-            h *= kFnvPrime8;
-            continue;
-        }
-        for (size_t b = i; b < i + 8; ++b) {
-            h ^= p[b];
-            h *= kFnvPrime;
-        }
-    }
-    for (; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 void
 countTile(const char *which, uint64_t n = 1)
@@ -114,7 +74,7 @@ TileStore::~TileStore() = default;
 uint64_t
 TileStore::digestOf(const std::vector<float> &data)
 {
-    return fnvBytes(data.data(), data.size() * sizeof(float));
+    return common::fnv1a(data.data(), data.size() * sizeof(float));
 }
 
 std::string
@@ -183,9 +143,7 @@ TileStore::putDigested(std::vector<float> &data, uint64_t digest)
             dirReady_ = true;
         }
         const std::string path = pathFor(digest);
-        const bool have = cfg_.reuseExistingFiles &&
-            std::filesystem::exists(path, ec);
-        if (!have) {
+        if (!std::filesystem::exists(path, ec)) {
             const std::string tmp = path + ".tmp";
             {
                 std::ofstream out(tmp,

@@ -89,10 +89,6 @@ struct TileStoreConfig
      * on put() either way when `dir` is set.
      */
     size_t budgetBytes = 0;
-
-    /// Skip the disk write when the tile file already exists (content
-    /// addressing makes this safe); disable to force rewrites.
-    bool reuseExistingFiles = true;
 };
 
 /** Lifetime totals (always on, unlike the telemetry counters). */

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "common/fnv.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/telemetry.hh"
@@ -99,10 +100,6 @@ validate(const RecoveryParams &params)
         return Error{ErrorCode::InvalidArgument,
                      "RecoveryParams: maxRetries must be < " +
                          std::to_string(kMaxAttemptsPerSlice)};
-    if (params.cleanCacheCapacity < 1)
-        return Error{ErrorCode::InvalidArgument,
-                     "RecoveryParams: cleanCacheCapacity must be "
-                     ">= 1"};
     const image::QcThresholds &qc = params.qc;
     if (qc.miBins < 2 || qc.miBins > image::kMaxMiBins)
         return Error{ErrorCode::InvalidArgument,
@@ -185,34 +182,21 @@ CleanFrameCache::evictions() const
 namespace
 {
 
-/// FNV-1a mix for clean-frame cache keys.
-uint64_t
-fnvMix(uint64_t h, uint64_t v)
-{
-    h ^= v;
-    return h * 1099511628211ull;
-}
-
 /// Digest of everything a clean frame depends on besides the volume:
 /// mill position, slice thickness and the SEM imaging parameters.
 uint64_t
 cleanFrameKey(uint64_t volume_key, size_t x, size_t slice_voxels,
               const SemParams &sem)
 {
-    uint64_t h = 1469598103934665603ull;
-    h = fnvMix(h, volume_key);
-    h = fnvMix(h, static_cast<uint64_t>(x));
-    h = fnvMix(h, static_cast<uint64_t>(slice_voxels));
-    h = fnvMix(h, static_cast<uint64_t>(sem.detector));
-    uint64_t bits = 0;
-    const double fields[] = {sem.dwellUs, sem.electronsPerUs,
-                             sem.readNoise, sem.seQuality};
-    for (const double f : fields) {
-        static_assert(sizeof(bits) == sizeof(f), "bit pun");
-        __builtin_memcpy(&bits, &f, sizeof(bits));
-        h = fnvMix(h, bits);
-    }
-    return h;
+    common::Fnv1a f;
+    f.u64(volume_key);
+    f.u64(x);
+    f.u64(slice_voxels);
+    f.u64(static_cast<uint64_t>(sem.detector));
+    for (const double v : {sem.dwellUs, sem.electronsPerUs,
+                           sem.readNoise, sem.seQuality})
+        f.f64(v);
+    return f.h;
 }
 
 } // namespace
@@ -368,14 +352,12 @@ acquire(const image::Volume3D &materials, const FibSemParams &params,
     // collisions) at the same mill position re-render the identical
     // deterministic clean frame, so cache the rendered faces.  Noise
     // and faults are still applied per attempt.  A shared cache (the
-    // campaign service) spans jobs; otherwise a private bounded LRU
-    // covers this acquisition alone.
+    // campaign service) spans jobs; otherwise a private LRU of the
+    // default four mill positions covers this acquisition alone (a
+    // retry re-images the position it just rendered).
     std::optional<CleanFrameCache> local_cache;
-    CleanFrameCache *clean_cache = nullptr;
-    if (recovery.reuseCleanFrames)
-        clean_cache = sharedCleanFrames
-            ? sharedCleanFrames
-            : &local_cache.emplace(recovery.cleanCacheCapacity);
+    CleanFrameCache *clean_cache =
+        sharedCleanFrames ? sharedCleanFrames : &local_cache.emplace();
 
     out.stack.trueDrift.resize(n);
     out.qc.resize(n);

@@ -60,28 +60,6 @@ struct RecoveryParams
 
     /// QC detector thresholds.
     image::QcThresholds qc;
-
-    /**
-     * Reuse the clean SEM frame across re-imaging attempts at an
-     * unchanged mill position.  semImageClean is a pure function of
-     * (volume, x, sliceVoxels, sem), so a retry of the same face
-     * renders the identical frame — the cache returns that exact
-     * frame and only the per-attempt noise/fault overlay is redone.
-     * Bitwise-identical output either way (asserted in
-     * tests/test_fab_scope.cc); hit/miss/eviction counts are
-     * reported through the "sem.clean_cache.hit" / ".miss" /
-     * ".evicted" telemetry counters.
-     */
-    bool reuseCleanFrames = true;
-
-    /**
-     * Capacity (distinct mill positions) of the clean-frame cache
-     * used when no shared cache is passed to acquire.  Cached
-     * entries are exact pure-function outputs, so any capacity >= 1
-     * yields bitwise-identical acquisitions; larger caches only
-     * change the hit rate.  Must be >= 1 (validated).
-     */
-    size_t cleanCacheCapacity = 4;
 };
 
 /**
@@ -218,8 +196,9 @@ struct RobustAcquisition
  * validation (use the validate() overloads for typed errors).
  *
  * @param sharedCleanFrames optional shared clean-frame cache for the
- *        re-imaging loop; when null a private cache of
- *        recovery.cleanCacheCapacity entries is used.  Sharing
+ *        re-imaging loop; when null a private four-entry cache is
+ *        used.  Cached frames are exact, so neither choice changes a
+ *        bit of the result.  Sharing
  *        requires `volumeKey` to identify the material volume so
  *        jobs imaging different volumes can never collide on a cache
  *        key.  Fault-free runs image each face once and bypass it.

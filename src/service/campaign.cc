@@ -283,16 +283,12 @@ struct CampaignService::Impl
     void
     processJob(Job &j)
     {
-        // Per-job telemetry scope: spans/metric deltas produced by
-        // this worker (and the pool threads it fans out to) are
-        // attributed to this job's session.  Declared before the
-        // bind so the bind is released first.
+        // Per-job telemetry scope: the session binds this worker, so
+        // spans and metric deltas produced here (and on the pool
+        // threads it fans out to) are attributed to this job.
         std::optional<telemetry::Session> session;
-        std::optional<telemetry::SessionBind> bind;
-        if (j.config.telemetry.enabled) {
+        if (j.config.telemetry.enabled)
             session.emplace();
-            bind.emplace(*session);
-        }
 
         const std::string ckpt = checkpointPath(j);
         for (size_t attempt = 1;; ++attempt) {
@@ -308,14 +304,8 @@ struct CampaignService::Impl
             if (out.kind == Attempt::Ok) {
                 if (session) {
                     lock.unlock();
-                    out.report.telemetry =
-                        session->finish(j.config.telemetry);
-                    if (!j.config.telemetry.qcAuditPath.empty())
-                        telemetry::writeTextFile(
-                            j.config.telemetry.qcAuditPath,
-                            scope::qcAuditJson(out.report.qcAudit));
-                    session.reset();
-                    bind.reset();
+                    core::finishTelemetry(*session, j.config,
+                                          out.report);
                     lock.lock();
                 }
                 j.digest = core::reportDigest(out.report);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/fnv.hh"
 #include "image/tiled_volume.hh"
 
 namespace hifi
@@ -151,16 +152,6 @@ struct Reader
     }
 };
 
-uint64_t
-fnv(const char *data, size_t n, uint64_t h = 1469598103934665603ull)
-{
-    for (size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 // ---- Config identity ----------------------------------------------
 
 void
@@ -206,9 +197,7 @@ writeConfigIdentity(Writer &w, const core::PipelineConfig &c)
     w.u64(f.skipOvershootSlices);
     w.i64(f.excursionPx);
 
-    // Result-affecting recovery policy only: reuseCleanFrames and the
-    // cache capacity are bit-identity-neutral by contract and must
-    // not invalidate a checkpoint.
+    // Recovery policy (every field is result-affecting).
     const scope::RecoveryParams &r = c.recovery;
     w.u64(r.maxRetries);
     w.u8(r.interpolate);
@@ -691,7 +680,7 @@ configDigest(const core::PipelineConfig &config)
 {
     Writer w;
     writeConfigIdentity(w, config);
-    return fnv(w.out.data(), w.out.size());
+    return common::fnv1a(w.out.data(), w.out.size());
 }
 
 uint64_t
@@ -699,7 +688,7 @@ fabDigest(const core::PipelineConfig &config)
 {
     Writer w;
     writeFabIdentity(w, config);
-    return fnv(w.out.data(), w.out.size());
+    return common::fnv1a(w.out.data(), w.out.size());
 }
 
 common::Result<std::string>
@@ -731,33 +720,27 @@ encodeCheckpoint(const core::PipelineConfig &config,
             return R(*err);
     } else if (state.next == core::Stage::Analyze &&
                state.processedTiled) {
-        w.u8(kArtifactProcessedTiled);
-        // Usually already sealed into this very store (the service
-        // installs its store as state.tileStore before the stages
-        // run); only digests a *different* store produced need
-        // rehydrating through a dense round trip.
+        // The volume stays where the Postprocess stage sealed it: a
+        // checkpoint references tiles of its own store only.
         image::TiledVolume3D &vol = *state.processedTiled;
         auto digests = vol.digests();
         if (!digests.ok())
             return R(digests.error());
-        bool all_here = true;
         for (const uint64_t d : digests.value())
-            all_here = all_here && tiles->contains(d);
-        if (all_here) {
-            writeTileGrid(w, vol.nx(), vol.ny(), vol.nz(),
-                          vol.tileEdge(), digests.value());
-        } else {
-            auto dense = vol.toDense();
-            if (!dense.ok())
-                return R(dense.error());
-            if (auto err = writeVolume(w, dense.value(), *tiles))
-                return R(*err);
-        }
+            if (!tiles->contains(d))
+                return R::failure(
+                    common::ErrorCode::FailedPrecondition,
+                    "checkpoint: the processed volume is sealed in "
+                    "another tile store (run the stages with "
+                    "state.tileStore set to the checkpoint's store)");
+        w.u8(kArtifactProcessedTiled);
+        writeTileGrid(w, vol.nx(), vol.ny(), vol.nz(), vol.tileEdge(),
+                      digests.value());
     } else {
         w.u8(kArtifactNone);
     }
 
-    w.u64(fnv(w.out.data(), w.out.size()));
+    w.u64(common::fnv1a(w.out.data(), w.out.size()));
     return R(std::move(w.out));
 }
 
@@ -773,7 +756,7 @@ decodeCheckpoint(const std::string &bytes,
     uint64_t stored = 0;
     std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
                 sizeof(stored));
-    if (fnv(bytes.data(), bytes.size() - sizeof(stored)) != stored)
+    if (common::fnv1a(bytes.data(), bytes.size() - sizeof(stored)) != stored)
         return R::failure(common::ErrorCode::DataLoss,
                           "checkpoint: payload digest mismatch "
                           "(torn or corrupted file)");

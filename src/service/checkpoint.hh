@@ -54,9 +54,12 @@ uint64_t fabDigest(const core::PipelineConfig &config);
  * stored, and its voxels are sealed into `tiles` (content-addressed,
  * deduplicated across saves): the image holds just their digests, so
  * repeated saves of an unchanged artifact write almost nothing and
- * the image stays small at every stage.  Typed errors:
- * FailedPrecondition without a tile store, store I/O failures as the
- * store reports them.
+ * the image stays small at every stage.  The postprocessed volume is
+ * already tiled: it is written as digests only, and they must be in
+ * `tiles` (run the stages with `state.tileStore == tiles`, as the
+ * service does).  Typed errors: FailedPrecondition without a tile
+ * store or for a volume sealed in another store, store I/O failures
+ * as the store reports them.
  */
 common::Result<std::string>
 encodeCheckpoint(const core::PipelineConfig &config,

@@ -845,49 +845,6 @@ TEST(Fib, FaultFreeFramesAreTheFaultedRunsFirstAttempts)
     }
 }
 
-TEST(Fib, CleanFrameCacheIsBitwiseEquivalent)
-{
-    // The cache only skips re-rendering a deterministic frame, so a
-    // fault-injected campaign must come out identical with it on or
-    // off — frames, drift records, retry counts, audit, everything.
-    const auto vol = cacheTestScene();
-    scope::FibSemParams params;
-    params.sliceVoxels = 2;
-    params.driftProbability = 0.3;
-    scope::FaultParams faults;
-    faults = faults.scaled(2.0); // enough faults to force re-imaging
-    faults.enabled = true;
-
-    scope::RecoveryParams with_cache;
-    ASSERT_TRUE(with_cache.reuseCleanFrames); // the default
-    scope::RecoveryParams no_cache;
-    no_cache.reuseCleanFrames = false;
-
-    const auto a =
-        scope::acquire(vol, params, faults, with_cache, 42);
-    const auto b =
-        scope::acquire(vol, params, faults, no_cache, 42);
-
-    EXPECT_GT(a.retries, 0u) << "campaign never re-imaged; the cache "
-                                "was not exercised";
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.slicesRetried, b.slicesRetried);
-    EXPECT_EQ(a.slicesInterpolated, b.slicesInterpolated);
-    EXPECT_EQ(a.interpolatedSlices, b.interpolatedSlices);
-    EXPECT_EQ(a.qcConfidence, b.qcConfidence);
-    ASSERT_EQ(a.stack.slices.size(), b.stack.slices.size());
-    EXPECT_EQ(a.stack.trueDrift, b.stack.trueDrift);
-    for (size_t s = 0; s < a.stack.slices.size(); ++s) {
-        const auto &fa = a.stack.slices[s];
-        const auto &fb = b.stack.slices[s];
-        ASSERT_EQ(fa.size(), fb.size());
-        EXPECT_EQ(std::memcmp(fa.data().data(), fb.data().data(),
-                              fa.size() * sizeof(float)),
-                  0)
-            << "slice " << s;
-    }
-}
-
 TEST(Fib, CleanFrameCacheReturnsTheExactCleanFrame)
 {
     // The cache must hand back the very frame semImageClean would

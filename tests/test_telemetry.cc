@@ -198,6 +198,70 @@ TEST(Spans, SecondSessionStartsClean)
         EXPECT_STRNE(s.name, "test.stale");
 }
 
+TEST(Spans, UnboundThreadRecordsNothing)
+{
+    // Attribution is by binding only: a thread that opened no session
+    // and runs no fan-out of a bound one leaves no spans and no routed
+    // counter deltas in the session opened on this thread.  The
+    // global total still counts it.
+    auto &counter =
+        telemetry::registry().counter("test.unbound.counter");
+    const uint64_t before = counter.value();
+    telemetry::Session session;
+    std::thread stranger([&] {
+        const telemetry::Span span("test.unbound.span");
+        counter.add(3);
+    });
+    stranger.join();
+    {
+        const telemetry::Span span("test.bound.span");
+        counter.add(2);
+    }
+    const auto collected = session.finish({});
+    ASSERT_TRUE(collected != nullptr);
+    ASSERT_EQ(collected->spans.size(), 1u);
+    EXPECT_STREQ(collected->spans.front().name, "test.bound.span");
+    EXPECT_EQ(collected->metrics.counters.at("test.unbound.counter"),
+              2u);
+    EXPECT_EQ(counter.value() - before, 5u);
+}
+
+TEST(Spans, NestedSessionRestoresTheOuterBinding)
+{
+    using telemetry::detail::currentSessionBinding;
+    EXPECT_EQ(currentSessionBinding(), 0u);
+    telemetry::Session outer;
+    EXPECT_EQ(currentSessionBinding(), outer.id());
+    std::shared_ptr<const telemetry::PipelineTelemetry> inner_result;
+    {
+        telemetry::Session inner;
+        EXPECT_EQ(currentSessionBinding(), inner.id());
+        {
+            const telemetry::Span span("test.inner.span");
+        }
+        inner_result = inner.finish({});
+        EXPECT_EQ(currentSessionBinding(), outer.id());
+    }
+    {
+        // Abandoned without finish(): the destructor restores too.
+        telemetry::Session abandoned;
+        EXPECT_EQ(currentSessionBinding(), abandoned.id());
+    }
+    EXPECT_EQ(currentSessionBinding(), outer.id());
+    EXPECT_TRUE(telemetry::enabled());
+    {
+        const telemetry::Span span("test.outer.span");
+    }
+    const auto outer_result = outer.finish({});
+    EXPECT_EQ(currentSessionBinding(), 0u);
+    EXPECT_FALSE(telemetry::enabled());
+
+    ASSERT_EQ(inner_result->spans.size(), 1u);
+    EXPECT_STREQ(inner_result->spans.front().name, "test.inner.span");
+    ASSERT_EQ(outer_result->spans.size(), 1u);
+    EXPECT_STREQ(outer_result->spans.front().name, "test.outer.span");
+}
+
 // ---- Trace validator negative cases --------------------------------
 
 TEST(TraceCheck, RejectsMalformedDocuments)
